@@ -1,4 +1,4 @@
-//! Shared infrastructure for the experiment binaries and Criterion benches.
+//! Shared infrastructure for the experiment binaries.
 //!
 //! Each binary regenerates one table or figure of the paper (see DESIGN.md's
 //! experiment index and EXPERIMENTS.md for recorded outputs):

@@ -37,34 +37,43 @@ pub fn split_spec(spec: &str) -> (&str, Option<u64>) {
 }
 
 /// Generate the instance named by `spec` at `n` nodes, deterministically
-/// from `seed`. See the module table for the recognized families.
+/// from `seed`. See the module table for the recognized families. A spec
+/// that yields a graph with no nodes is an error: every tier needs at least
+/// one node to run.
 pub fn graph_family(spec: &str, n: usize, seed: u64) -> Result<Graph, String> {
     // `file:PATH` loads an edge list (the path may contain ':').
-    if let Some(path) = spec.strip_prefix("file:") {
-        return wb_graph::io::load_edge_list(std::path::Path::new(path))
-            .map_err(|e| format!("cannot load '{path}': {e}"));
+    let g = if let Some(path) = spec.strip_prefix("file:") {
+        wb_graph::io::load_edge_list(std::path::Path::new(path))
+            .map_err(|e| format!("cannot load '{path}': {e}"))?
+    } else {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (kind, arg) = split_spec(spec);
+        let k = arg.unwrap_or(2) as usize;
+        match kind {
+            "tree" => generators::random_tree(n, &mut rng),
+            "forest" => generators::random_forest(n, 0.8, &mut rng),
+            "ktree" => generators::k_tree(n.max(k + 1), k, &mut rng),
+            "kdeg" => generators::k_degenerate(n, k, true, &mut rng),
+            "mixed" => generators::mixed_low_high(n, k, &mut rng),
+            "gnp" => generators::gnp(n, arg.unwrap_or(4) as f64 / n.max(2) as f64, &mut rng),
+            "gnp-lin" => generators::gnp_linear(n, arg.unwrap_or(4) as f64, &mut rng),
+            "kdeg-lin" => generators::k_degenerate_linear(n, k, &mut rng),
+            "eob" => generators::even_odd_bipartite_connected(n, 0.2, &mut rng),
+            "bipartite" => generators::bipartite_fixed(n / 2, n - n / 2, 0.2, &mut rng),
+            "two-cliques" => generators::two_cliques(n / 2),
+            "impostor" => generators::connected_regular_impostor((n / 2).max(3), &mut rng),
+            "clique" => generators::clique(n),
+            "cycle" => generators::cycle(n.max(3)),
+            "path" => generators::path(n),
+            other => return Err(format!("unknown workload '{other}'")),
+        }
+    };
+    if g.n() == 0 {
+        return Err(format!(
+            "workload '{spec}' has no nodes at n = {n}; protocols need at least one node"
+        ));
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (kind, arg) = split_spec(spec);
-    let k = arg.unwrap_or(2) as usize;
-    Ok(match kind {
-        "tree" => generators::random_tree(n, &mut rng),
-        "forest" => generators::random_forest(n, 0.8, &mut rng),
-        "ktree" => generators::k_tree(n.max(k + 1), k, &mut rng),
-        "kdeg" => generators::k_degenerate(n, k, true, &mut rng),
-        "mixed" => generators::mixed_low_high(n, k, &mut rng),
-        "gnp" => generators::gnp(n, arg.unwrap_or(4) as f64 / n.max(2) as f64, &mut rng),
-        "gnp-lin" => generators::gnp_linear(n, arg.unwrap_or(4) as f64, &mut rng),
-        "kdeg-lin" => generators::k_degenerate_linear(n, k, &mut rng),
-        "eob" => generators::even_odd_bipartite_connected(n, 0.2, &mut rng),
-        "bipartite" => generators::bipartite_fixed(n / 2, n - n / 2, 0.2, &mut rng),
-        "two-cliques" => generators::two_cliques(n / 2),
-        "impostor" => generators::connected_regular_impostor((n / 2).max(3), &mut rng),
-        "clique" => generators::clique(n),
-        "cycle" => generators::cycle(n.max(3)),
-        "path" => generators::path(n),
-        other => return Err(format!("unknown workload '{other}'")),
-    })
+    Ok(g)
 }
 
 #[cfg(test)]
@@ -112,6 +121,29 @@ mod tests {
     fn unknown_family_is_an_error() {
         assert!(graph_family("frobnicate", 10, 1).is_err());
         assert!(graph_family("file:/nonexistent", 10, 1).is_err());
+    }
+
+    #[test]
+    fn empty_graphs_are_an_error() {
+        for spec in [
+            "tree",
+            "forest",
+            "kdeg:2",
+            "mixed:2",
+            "gnp:4",
+            "gnp-lin:4",
+            "kdeg-lin:2",
+            "eob",
+            "bipartite",
+            "two-cliques",
+            "clique",
+            "path",
+        ] {
+            let err = graph_family(spec, 0, 1).unwrap_err();
+            assert!(err.contains("no nodes"), "{spec}: {err}");
+        }
+        // Families that pad small n to a minimum size stay valid.
+        assert_eq!(graph_family("cycle", 0, 1).unwrap().n(), 3);
     }
 
     #[test]

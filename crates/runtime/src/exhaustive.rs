@@ -880,19 +880,23 @@ where
 
 /// Expand one configuration clone-free: for every active pick, open a
 /// savepoint, step + run the next activation phase, probe the seen-set, and
-/// undo. Only unseen interior children are cloned (and the final one simply
-/// keeps the stepped engine — the parent is spent anyway); every survivor
-/// is handed to `visit`. The engine in the frontier is always
-/// post-activation.
+/// undo. Each pick yields a surviving-write child and, while the fault
+/// budget `f` is not spent, a crashed-write child ([`Engine::step_crash`]);
+/// `f = 0` means no crash children. Only unseen interior children are
+/// cloned (and the final child simply keeps the stepped engine — the parent
+/// is spent anyway); every survivor is handed to `visit`. The engine in the
+/// frontier is always post-activation.
 ///
-/// On simultaneous models the probe is **write-only**: the canonical
-/// encoding (statuses, frozen messages, board) is final right after the
-/// write, the activation phase is a no-op, and observation only mutates
-/// private node state — so merged and terminal children skip the whole
-/// observation fan-out, and only surviving interior children pay for
-/// delivery. Free models observe before the activation phase as usual.
+/// On simultaneous models the probe of a surviving write is **write-only**:
+/// the canonical encoding (statuses, frozen messages, board) is final right
+/// after the write, the activation phase is a no-op, and observation only
+/// mutates private node state — so merged and terminal children skip the
+/// whole observation fan-out, and only surviving interior children pay for
+/// delivery. Free models observe before the activation phase as usual. A
+/// crashed write leaves no board entry, so it never needs delivery.
 fn expand_into<'a, P, S, V>(
     pending: Pending<'a, P>,
+    f: usize,
     seen: &S,
     progress: &Progress,
     red: &Reduction,
@@ -925,8 +929,13 @@ fn expand_into<'a, P, S, V>(
         engine.active_count()
     };
     let simultaneous = engine.is_simultaneous();
+    let can_crash = engine.crashed_count() < f;
+    let n_children = if can_crash { 2 * n_allowed } else { n_allowed };
     // Picks expanded so far this round, as a mask: a later pick's child may
-    // sleep on them exactly when they are independent of it.
+    // sleep on them exactly when they are independent of it. A sleeping
+    // pick skips *both* of its children: crash(v) writes nothing, so it
+    // commutes with at least everything write(v) commutes with, and
+    // reordering it never changes how much crash budget remains.
     let mut explored = 0u64;
     let mut walked = 0;
     for pick in 1..=n {
@@ -948,240 +957,63 @@ fn expand_into<'a, P, S, V>(
         if progress.stopped() {
             break;
         }
-        walked += 1;
-        let last = walked == n_allowed;
         let child_sleep = if dpor {
             (sleep | explored) & indep[pick as usize - 1]
         } else {
             0
         };
-        let token = engine.step_token();
-        if simultaneous {
-            engine.step_unobserved(pick);
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        // Terminal: the report reads only board + write
-                        // order, so the undelivered observations are
-                        // irrelevant.
-                        emit_leaf(&engine, red, progress, visit);
-                    } else if last {
-                        engine.deliver_last_entry();
-                        engine.commit(token);
-                        visit(Child::Interior(Pending {
-                            engine,
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                        return;
-                    } else {
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
+        for crash in [false, true] {
+            if crash && (!can_crash || progress.stopped()) {
+                break;
             }
-        } else {
-            engine.step(pick);
-            engine.activation_phase();
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else if last {
-                        engine.commit(token);
-                        visit(Child::Interior(Pending {
-                            engine,
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                        return;
-                    } else {
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
-            }
-        }
-        engine.undo(token);
-        if dpor {
-            explored |= 1u64 << (pick - 1);
-        }
-    }
-}
-
-/// Expand one configuration under a fault budget `f > 0`: every active pick
-/// branches into its surviving write *and* (budget permitting) its crashed
-/// write ([`Engine::step_crash`]). Same savepoint/probe/undo discipline as
-/// [`expand_into`]; survivors are always cloned (no keep-the-engine
-/// optimization — each pick has up to two children, so the parent is never
-/// known-spent before the loop ends).
-fn expand_into_faulted<'a, P, S, V>(
-    pending: Pending<'a, P>,
-    f: usize,
-    seen: &S,
-    progress: &Progress,
-    red: &Reduction,
-    visit: &mut V,
-) where
-    P: Protocol,
-    S: SeenProbe,
-    V: FnMut(Child<'a, P>),
-{
-    let Pending {
-        mut engine,
-        sleep,
-        restrict,
-    } = pending;
-    let dpor = red.indep.is_some();
-    let indep = red.indep.as_deref().unwrap_or(&[]);
-    let simultaneous = engine.is_simultaneous();
-    let can_crash = engine.crashed_count() < f;
-    // A sleeping pick skips *both* of its branches: crash(v) writes nothing,
-    // so it commutes with at least everything write(v) commutes with, and
-    // reordering it never changes how much crash budget remains.
-    let mut explored = 0u64;
-    for pick in 1..=engine.node_count() as NodeId {
-        if !engine.is_active(pick) {
-            continue;
-        }
-        if dpor {
-            let bit = 1u64 << (pick - 1);
-            if restrict & bit == 0 {
-                continue;
-            }
-            if sleep & bit != 0 {
-                if restrict == u64::MAX {
-                    progress.sleep_skipped.fetch_add(1, Ordering::Relaxed);
-                }
-                continue;
-            }
-        }
-        if progress.stopped() {
-            break;
-        }
-        let child_sleep = if dpor {
-            (sleep | explored) & indep[pick as usize - 1]
-        } else {
-            0
-        };
-        // Branch 1: the write survives.
-        let token = engine.step_token();
-        if simultaneous {
-            engine.step_unobserved(pick);
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else {
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
-            }
-        } else {
-            engine.step(pick);
-            engine.activation_phase();
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else {
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
-            }
-        }
-        engine.undo(token);
-        // Branch 2: the write dies (no board entry, so no delivery; the
-        // activation phase is a no-op under simultaneous models).
-        if can_crash && !progress.stopped() {
+            walked += 1;
             let token = engine.step_token();
-            engine.step_crash(pick);
-            engine.activation_phase();
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else {
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
+            let deliver = if crash {
+                engine.step_crash(pick);
+                engine.activation_phase();
+                false
+            } else if simultaneous {
+                engine.step_unobserved(pick);
+                true
+            } else {
+                engine.step(pick);
+                engine.activation_phase();
+                false
+            };
+            // A new terminal is reported undelivered: its report reads only
+            // board + write order.
+            let restrict = match progress.record(seen.probe(&engine, red, child_sleep)) {
+                Admit::Expand if !engine.has_active() => {
+                    emit_leaf(&engine, red, progress, visit);
+                    None
                 }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
+                Admit::Expand => Some(u64::MAX),
+                Admit::Reexpand(woken) if engine.has_active() => {
+                    progress.reexpansions.fetch_add(1, Ordering::Relaxed);
+                    Some(woken)
                 }
-                Admit::Skip => {}
+                Admit::Reexpand(_) | Admit::Skip => None,
+            };
+            if let Some(restrict) = restrict {
+                if deliver {
+                    engine.deliver_last_entry();
+                }
+                if walked == n_children {
+                    // The final child: the parent is spent, so keep the
+                    // stepped engine instead of cloning it.
+                    engine.commit(token);
+                    visit(Child::Interior(Pending {
+                        engine,
+                        sleep: child_sleep,
+                        restrict,
+                    }));
+                    return;
+                }
+                visit(Child::Interior(Pending {
+                    engine: engine.clone(),
+                    sleep: child_sleep,
+                    restrict,
+                }));
             }
             engine.undo(token);
         }
@@ -1255,11 +1087,7 @@ where
                         }
                     }
                 };
-                if f == 0 {
-                    expand_into(pending, seen, progress, red, &mut visit);
-                } else {
-                    expand_into_faulted(pending, f, seen, progress, red, &mut visit);
-                }
+                expand_into(pending, f, seen, progress, red, &mut visit);
                 if overflow {
                     report.truncated = true;
                     break;
@@ -1324,11 +1152,7 @@ where
                     Child::Leaf(run) => exp.leaves.push(run),
                     Child::Interior(pending) => exp.interior.push(pending),
                 };
-                if f == 0 {
-                    expand_into(p, seen, progress, red, &mut visit);
-                } else {
-                    expand_into_faulted(p, f, seen, progress, red, &mut visit);
-                }
+                expand_into(p, f, seen, progress, red, &mut visit);
                 exp
             });
             let mut next: Vec<Pending<P>> = Vec::new();

@@ -645,6 +645,19 @@ mod tests {
         spec.sampler = "bogus".into();
         spec.trials = 1;
         assert!(run_job(&spec).unwrap_err().contains("unknown sampler"));
+        // A workload with no nodes is refused before any tier runs.
+        for (kind, workload) in [
+            (JobKind::Explore, "path"),
+            (JobKind::Campaign, "path"),
+            (JobKind::Bulk, "gnp-lin:4"),
+        ] {
+            let mut spec = JobSpec::new(kind);
+            spec.protocol = "mis:1".into();
+            spec.workload = workload.into();
+            spec.n = 0;
+            let err = run_job(&spec).unwrap_err();
+            assert!(err.contains("has no nodes"), "{kind:?}: {err}");
+        }
     }
 
     #[test]

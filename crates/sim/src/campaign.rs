@@ -426,8 +426,8 @@ impl BatchStats {
     }
 
     /// Fold one trial into the batch. `outcome`/`schedule` are the trial's
-    /// terminal outcome and executed write order — the step and bulk trial
-    /// loops both feed this one accumulator.
+    /// terminal outcome and executed write order, as [`drive_trials`]
+    /// hands them over for either tier.
     #[allow(clippy::too_many_arguments)]
     fn record<O: std::fmt::Debug>(
         &mut self,
@@ -566,66 +566,33 @@ where
     P::Output: std::fmt::Debug,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool + Sync,
 {
-    let total = config.trials;
     let plan = config.live_faults();
-    let stats = wb_par::par_batch_reduce(
-        total as usize,
-        config.batch.max(1),
-        |range| {
-            let template = Engine::new(protocol, g);
-            let mut stats = BatchStats::identity();
-            let mut active: Vec<NodeId> = Vec::with_capacity(g.n());
-            for t in range {
-                let trial = t as u64;
-                let seed = trial_seed(config.seed, trial);
-                let mut adv = config.sampler.adversary(g.n(), seed);
-                let mut faults = TrialFaults::draw(plan, g.n(), seed);
-                let mut engine = template.clone();
-                let report = loop {
-                    engine.activation_phase();
-                    engine.active_set_into(&mut active);
-                    if active.is_empty() {
-                        break engine.finish();
-                    }
-                    let pick = adv.pick(&active, engine.board());
-                    if faults.kills(pick) {
-                        engine.step_crash(pick);
-                    } else {
-                        engine.step(pick);
-                    }
-                };
-                let pass = check(&report.outcome, &report.crashed);
-                stats.record(
-                    trial,
-                    seed,
-                    report.outcome,
-                    report.write_order,
-                    report.crashed,
-                    pass,
-                    config,
-                );
-            }
-            stats
+    drive_trials(
+        g,
+        config,
+        labels,
+        || (Engine::new(protocol, g), Vec::with_capacity(g.n())),
+        |(template, active), seed| {
+            let mut adv = config.sampler.adversary(g.n(), seed);
+            let mut faults = TrialFaults::draw(plan, g.n(), seed);
+            let mut engine = template.clone();
+            let report = loop {
+                engine.activation_phase();
+                engine.active_set_into(active);
+                if active.is_empty() {
+                    break engine.finish();
+                }
+                let pick = adv.pick(active, engine.board());
+                if faults.kills(pick) {
+                    engine.step_crash(pick);
+                } else {
+                    engine.step(pick);
+                }
+            };
+            (report.outcome, report.write_order, report.crashed)
         },
-        BatchStats::identity,
-        |a, b| a.merge(b, config),
-    );
-    CampaignReport {
-        protocol: labels.protocol.clone(),
-        model: labels.model.clone(),
-        family: labels.family.clone(),
-        n: g.n(),
-        trials: total,
-        seed: config.seed,
-        sampler: config.sampler.name(),
-        passed: stats.passed,
-        failed: stats.failed,
-        deadlocks: stats.deadlocks,
-        distinct_outcomes: stats.fingerprints.len() as u64,
-        outcome_set: stats.outcomes.map(|set| set.into_iter().collect()),
-        witnesses: stats.witnesses,
-        faults: plan.map(|p| p.spec()),
-    }
+        check,
+    )
 }
 
 /// Like [`run_campaign`], but every trial executes on the **bulk tier**
@@ -712,53 +679,78 @@ where
                 .into(),
         );
     }
-    let total = config.trials;
     let bulk_config = BulkConfig::default();
+    Ok(drive_trials(
+        g,
+        config,
+        labels,
+        || (),
+        |(), seed| {
+            let schedule = config
+                .sampler
+                .permutation(g.n(), seed)
+                .expect("checked before sharding");
+            let report = if plan.is_some() {
+                let victims = TrialFaults::draw(plan, g.n(), seed).victims();
+                run_bulk_crashed(protocol, g, &schedule, target, &bulk_config, &victims)
+            } else {
+                run_bulk(protocol, g, &schedule, target, &bulk_config)
+            }
+            .expect("bulk model pre-validated");
+            // The *executed* write order is the replayable witness: it
+            // equals the sampled permutation under simultaneous and SYNC
+            // targets, but the ASYNC activation chain runs in ID order
+            // regardless of the draw.
+            (report.outcome, report.write_order, report.crashed)
+        },
+        check,
+    ))
+}
+
+/// The trial loop both tiers share: shard `config.trials` into `wb_par`
+/// batches, build each batch's scratch state with `setup` (the step tier's
+/// template engine and active-set buffer), run trial `t` as
+/// `trial(&mut scratch, trial_seed(config.seed, t))` — which returns the
+/// terminal outcome, the executed write order and the crashed set — classify
+/// it with `check`, and fold everything into one [`CampaignReport`].
+fn drive_trials<O, S, B, T, C>(
+    g: &Graph,
+    config: &CampaignConfig,
+    labels: &CampaignLabels,
+    setup: B,
+    trial: T,
+    check: C,
+) -> CampaignReport
+where
+    O: std::fmt::Debug,
+    B: Fn() -> S + Sync,
+    T: Fn(&mut S, u64) -> (Outcome<O>, Vec<NodeId>, Vec<NodeId>) + Sync,
+    C: Fn(&Outcome<O>, &[NodeId]) -> bool + Sync,
+{
     let stats = wb_par::par_batch_reduce(
-        total as usize,
+        config.trials as usize,
         config.batch.max(1),
         |range| {
+            let mut scratch = setup();
             let mut stats = BatchStats::identity();
             for t in range {
-                let trial = t as u64;
-                let seed = trial_seed(config.seed, trial);
-                let schedule = config
-                    .sampler
-                    .permutation(g.n(), seed)
-                    .expect("checked before sharding");
-                let report = if plan.is_some() {
-                    let victims = TrialFaults::draw(plan, g.n(), seed).victims();
-                    run_bulk_crashed(protocol, g, &schedule, target, &bulk_config, &victims)
-                } else {
-                    run_bulk(protocol, g, &schedule, target, &bulk_config)
-                }
-                .expect("bulk model pre-validated");
-                let pass = check(&report.outcome, &report.crashed);
-                // The *executed* write order is the replayable witness: it
-                // equals the sampled permutation under simultaneous and SYNC
-                // targets, but the ASYNC activation chain runs in ID order
-                // regardless of the draw.
-                stats.record(
-                    trial,
-                    seed,
-                    report.outcome,
-                    report.write_order,
-                    report.crashed,
-                    pass,
-                    config,
-                );
+                let index = t as u64;
+                let seed = trial_seed(config.seed, index);
+                let (outcome, schedule, died) = trial(&mut scratch, seed);
+                let pass = check(&outcome, &died);
+                stats.record(index, seed, outcome, schedule, died, pass, config);
             }
             stats
         },
         BatchStats::identity,
         |a, b| a.merge(b, config),
     );
-    Ok(CampaignReport {
+    CampaignReport {
         protocol: labels.protocol.clone(),
         model: labels.model.clone(),
         family: labels.family.clone(),
         n: g.n(),
-        trials: total,
+        trials: config.trials,
         seed: config.seed,
         sampler: config.sampler.name(),
         passed: stats.passed,
@@ -767,8 +759,8 @@ where
         distinct_outcomes: stats.fingerprints.len() as u64,
         outcome_set: stats.outcomes.map(|set| set.into_iter().collect()),
         witnesses: stats.witnesses,
-        faults: plan.map(|p| p.spec()),
-    })
+        faults: config.live_faults().map(|p| p.spec()),
+    }
 }
 
 #[cfg(test)]

@@ -798,6 +798,20 @@ fn file_workload_loads_edge_lists() {
 }
 
 #[test]
+fn empty_workloads_exit_nonzero_with_a_message() {
+    for args in [
+        &["bulk", "--protocol", "mis:1", "--workload", "gnp-lin:4"][..],
+        &["explore", "--protocol", "mis:1", "--workload", "path"][..],
+    ] {
+        let args = [args, &["--n", "0", "--json"]].concat();
+        let (ok, out) = whiteboard(&args);
+        assert!(!ok, "{args:?}: {out}");
+        assert!(out.contains("has no nodes"), "{args:?}: {out}");
+        assert!(!out.contains("panicked"), "{args:?}: {out}");
+    }
+}
+
+#[test]
 fn dot_subcommand_emits_graphviz() {
     let (ok, out) = whiteboard(&["dot", "--workload", "cycle", "--n", "6"]);
     assert!(ok, "{out}");

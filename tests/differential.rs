@@ -477,3 +477,80 @@ fn certification_refuses_the_unsound_dedup_escape_hatch() {
     .expect("certification with dedup off must be refused");
     assert!(err.contains("DedupPolicy::Off"), "{err}");
 }
+
+// ---------------------------------------------------------------------------
+// Crash branching: the explorer against the certifying DFS under live plans.
+// ---------------------------------------------------------------------------
+
+/// Sorted `Debug` renderings of a report's terminal outcomes (a multiset).
+fn outcome_multiset<O: Debug>(report: &ExplorationReport<O>) -> Vec<String> {
+    let mut all: Vec<String> = report.outcomes.iter().map(|o| format!("{o:?}")).collect();
+    all.sort();
+    all
+}
+
+/// The explorer's sequential and parallel walks must match the certifying
+/// DFS — an independent walker with its own crash branching — on states,
+/// terminals, merges and the outcome multiset under `config`'s fault plan.
+fn assert_walkers_agree_under_faults<P>(p: &P, g: &Graph, config: &ExploreConfig, label: &str)
+where
+    P: Protocol + Sync,
+    P::Node: Send + Sync,
+    P::Output: Clone + Debug + Send,
+{
+    use wb_runtime::certificate::{certify, CertificateScenario};
+    use wb_runtime::exhaustive::{explore_parallel_with, explore_with};
+    let scenario = CertificateScenario {
+        protocol: label,
+        family: None,
+        seed: None,
+    };
+    let certified = certify(p, g, &scenario, config, |_, _| true)
+        .unwrap_or_else(|e| panic!("{label}: certification failed on {g:?}: {e}"))
+        .report;
+    assert!(!certified.truncated, "{label}: certify truncated on {g:?}");
+    let sequential = explore_with(p, g, config, |_, _| true);
+    let parallel = explore_parallel_with(p, g, config, |_, _| true);
+    for (walk, report) in [("sequential", &sequential), ("parallel", &parallel)] {
+        assert!(!report.truncated, "{label}: {walk} truncated on {g:?}");
+        assert_eq!(
+            (report.distinct_states, report.terminals, report.merged),
+            (
+                certified.distinct_states,
+                certified.terminals,
+                certified.merged
+            ),
+            "{label}: {walk} explorer and certify disagree on {g:?}"
+        );
+        assert_eq!(
+            outcome_multiset(report),
+            outcome_multiset(&certified),
+            "{label}: {walk} outcome multiset differs from certify on {g:?}"
+        );
+    }
+}
+
+#[test]
+fn explorer_matches_certifying_dfs_under_crash_budgets_n4() {
+    // Crash budgets above 1 let one expansion spend the budget across
+    // several levels; the folded expander's crash children must reach
+    // exactly what the certifying walk reaches, on every model.
+    use wb_runtime::FaultPlan;
+    for f in [1, 2] {
+        let config = ExploreConfig::default().with_faults(Some(FaultPlan::crash_stop(f)));
+        for n in 1..=4 {
+            for g in enumerate::all_connected_graphs(n) {
+                for target in Model::ALL {
+                    let p = Promote::new(BuildDegenerate::new(2), target);
+                    let label = format!("build:2@{target} crash:{f}");
+                    assert_walkers_agree_under_faults(&p, &g, &config, &label);
+                }
+                for target in targets(Model::SimSync) {
+                    let p = Promote::new(MisGreedy::new(1), target);
+                    let label = format!("mis:1@{target} crash:{f}");
+                    assert_walkers_agree_under_faults(&p, &g, &config, &label);
+                }
+            }
+        }
+    }
+}
