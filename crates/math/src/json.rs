@@ -70,7 +70,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -155,8 +155,20 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a line of `[`s overflows the stack; the deepest
+/// document this crate emits (a `wb-cert/v1` line) nests a few levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -172,7 +184,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -197,7 +209,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                map.insert(key, parse_value(bytes, pos)?);
+                map.insert(key, parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -359,5 +371,21 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_cap = nested(MAX_DEPTH, open, close).replace(":}", ":0}");
+            assert!(Json::parse(&at_cap).is_ok(), "{open}: depth {MAX_DEPTH}");
+            let past_cap = nested(MAX_DEPTH + 1, open, close).replace(":}", ":0}");
+            let err = Json::parse(&past_cap).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // Far past the cap (and unterminated): an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use wb_bench::json::Json;
 use wb_core::registry::{self, BoundOracle, BulkVisitor, ProtocolVisitor};
-use wb_graph::Graph;
+use wb_graph::{Graph, NodeId};
 use wb_runtime::adapt::Promote;
 use wb_runtime::bulk::{
     bulk_model, run_bulk, run_bulk_crashed, shuffled_schedule, BulkConfig, BulkProtocol,
@@ -223,6 +223,10 @@ fn round_to(x: f64, digits: u32) -> f64 {
     (x * scale).round() / scale
 }
 
+fn node_array(nodes: &[NodeId]) -> Json {
+    Json::Arr(nodes.iter().map(|&v| Json::Num(v as f64)).collect())
+}
+
 /// Run one job to completion and render its deterministic report.
 ///
 /// `Err` means the job could not run at all (unknown protocol, bad model,
@@ -236,25 +240,26 @@ pub fn run_job(spec: &JobSpec) -> Result<JobReport, String> {
     }
 }
 
-fn make_workload(spec: &JobSpec) -> Result<Graph, String> {
-    wb_core::workload::graph_family(&spec.workload, spec.n, spec.seed)
+/// The exploration config a spec asks for: state cap, dedup policy, fault
+/// plan and reduction policy, each validated (an unknown policy name, a
+/// malformed plan, or a reduction without dedup is an `Err`).
+pub fn explore_config(spec: &JobSpec) -> Result<ExploreConfig, String> {
+    let dedup = parse_dedup(&spec.dedup)?;
+    Ok(ExploreConfig::default()
+        .with_max_states(spec.max_states)
+        .with_dedup(dedup)
+        .with_faults(parse_faults(spec.faults.as_deref())?)
+        .with_reduction(parse_reduction(&spec.reduction, dedup)?))
 }
 
 fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
-    let g = make_workload(spec)?;
-    let faults = parse_faults(spec.faults.as_deref())?;
-    let dedup = parse_dedup(&spec.dedup)?;
-    let config = ExploreConfig::default()
-        .with_max_states(spec.max_states)
-        .with_dedup(dedup)
-        .with_faults(faults)
-        .with_reduction(parse_reduction(&spec.reduction, dedup)?);
+    let g = wb_core::workload::graph_family(&spec.workload, spec.n, spec.seed)?;
+    let config = explore_config(spec)?;
 
     struct ExploreJob<'a> {
         spec: &'a JobSpec,
         g: &'a Graph,
         config: ExploreConfig,
-        faults: Option<FaultPlan>,
     }
 
     impl ProtocolVisitor for ExploreJob<'_> {
@@ -304,8 +309,30 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
             );
             obj.insert("truncated".into(), Json::Bool(report.truncated));
             obj.insert("failures".into(), Json::Num(report.failures.len() as f64));
-            if let Some(plan) = &self.faults {
+            let faults = self.config.faults;
+            if let Some(plan) = &faults {
                 obj.insert("faults".into(), Json::Str(plan.spec()));
+            }
+            // Present only for failing explorations, in the campaign's
+            // witness shape: passing reports keep their bytes. The parallel
+            // walk's discovery order picks which schedule stands for a
+            // racing duplicate, so a failing parallel job takes its
+            // witnesses from the sequential walk to keep its bytes fixed.
+            if !report.failures.is_empty() {
+                let sequential = spec
+                    .par
+                    .then(|| explore_with(&protocol, g, &self.config, &pred));
+                let failures = &sequential.as_ref().unwrap_or(&report).failures;
+                let witnesses = failures.iter().take(5).map(|f| {
+                    let mut w = BTreeMap::new();
+                    w.insert("schedule".into(), node_array(&f.schedule));
+                    if faults.is_some() {
+                        w.insert("died".into(), node_array(&f.died));
+                    }
+                    w.insert("outcome".into(), Json::Str(format!("{:?}", f.outcome)));
+                    Json::Obj(w)
+                });
+                obj.insert("witnesses".into(), Json::Arr(witnesses.collect()));
             }
             // Present only for reduced explorations, mirroring "faults": the
             // default report stays byte-identical to the unreduced schema.
@@ -331,7 +358,7 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
                 let off = ExploreConfig::default()
                     .without_dedup()
                     .with_max_states(spec.max_states)
-                    .with_faults(self.faults);
+                    .with_faults(faults);
                 let naive = explore_with(&protocol, g, &off, &pred);
                 obj.insert(
                     "naive_states".into(),
@@ -362,13 +389,12 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
             spec,
             g: &g,
             config,
-            faults,
         },
     )
 }
 
 fn run_campaign_job(spec: &JobSpec) -> Result<JobReport, String> {
-    let g = make_workload(spec)?;
+    let g = wb_core::workload::graph_family(&spec.workload, spec.n, spec.seed)?;
     let target = parse_model(&spec.model)?;
 
     struct CampaignJob<'a> {
@@ -444,7 +470,7 @@ fn run_campaign_job(spec: &JobSpec) -> Result<JobReport, String> {
 }
 
 fn run_bulk_job(spec: &JobSpec) -> Result<JobReport, String> {
-    let g = make_workload(spec)?;
+    let g = wb_core::workload::graph_family(&spec.workload, spec.n, spec.seed)?;
     let target = parse_bulk_model(&spec.model)?;
     let faults = parse_faults(spec.faults.as_deref())?;
     if let Some(plan) = &faults {
@@ -474,8 +500,8 @@ fn run_bulk_job(spec: &JobSpec) -> Result<JobReport, String> {
         {
             let (spec, g) = (self.spec, self.g);
             let n = g.n();
-            let model = bulk_model(protocol.model(), self.target)
-                .map_err(|e| format!("protocol '{}': {e}", spec.protocol))?;
+            let refused = |e| format!("protocol '{}': {e}", spec.protocol);
+            let model = bulk_model(protocol.model(), self.target).map_err(refused)?;
             let schedule = shuffled_schedule(n, spec.seed);
             let config = BulkConfig::default().with_batch(spec.batch.unwrap_or(4096));
             let report = match &self.faults {
@@ -485,7 +511,7 @@ fn run_bulk_job(spec: &JobSpec) -> Result<JobReport, String> {
                 }
                 None => run_bulk(&protocol, g, &schedule, self.target, &config),
             }
-            .expect("bulk model pre-validated");
+            .map_err(refused)?;
             let oracle = bind(g);
             let verdict = if oracle(&report.outcome, &report.crashed) {
                 "PASS"
@@ -518,16 +544,7 @@ fn run_bulk_job(spec: &JobSpec) -> Result<JobReport, String> {
             );
             if let Some(plan) = &self.faults {
                 obj.insert("faults".into(), Json::Str(plan.spec()));
-                obj.insert(
-                    "died".into(),
-                    Json::Arr(
-                        report
-                            .crashed
-                            .iter()
-                            .map(|&v| Json::Num(v as f64))
-                            .collect(),
-                    ),
-                );
+                obj.insert("died".into(), node_array(&report.crashed));
             }
             obj.insert("verdict".into(), Json::Str(verdict.into()));
             Ok(JobReport {

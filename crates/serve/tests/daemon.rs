@@ -218,6 +218,19 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
     });
 }
 
+/// A line nested far past the JSON parser's depth cap (and well under the
+/// line-size cap) is a structured error, not a stack overflow.
+#[test]
+fn deeply_nested_lines_get_structured_errors_and_the_daemon_survives() {
+    with_daemon(ServeConfig::default(), |path| {
+        let mut c = Client::connect(path).expect("connect");
+        let reply = c.raw(&"[".repeat(200_000)).expect("daemon still replies");
+        assert!(reply.contains("\"code\":\"bad_json\""), "{reply}");
+        assert!(reply.contains("nesting deeper than"), "{reply}");
+        assert_eq!(c.hello().expect("hello"), "wb-serve/v1");
+    });
+}
+
 #[test]
 fn cancel_skips_queued_jobs_and_discards_running_results() {
     let config = ServeConfig {

@@ -49,14 +49,13 @@
 
 use shared_whiteboard::prelude::*;
 use std::process::ExitCode;
+use wb_bench::json::Json;
 use wb_math::counting::MessageRegime;
 use wb_reductions::lemma3::{verdict, Family};
 use wb_runtime::run_traced;
-use wb_serve::jobs::{
-    parse_bulk_model, parse_dedup, parse_faults, parse_model, parse_reduction, JobKind, JobSpec,
-};
+use wb_serve::jobs::{explore_config, parse_faults, parse_model, JobKind, JobSpec};
 use wb_serve::{Client, Daemon, ServeConfig};
-use wb_sim::{run_campaign_with, shrink_schedule, CampaignConfig, CampaignLabels, SamplerKind};
+use wb_sim::{shrink_schedule, ShrinkReport};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,9 +74,9 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "run" => cmd_run(&opts),
         "check" => cmd_check(&opts),
-        "explore" => cmd_explore(&opts),
-        "campaign" => cmd_campaign(&opts),
-        "bulk" => cmd_bulk(&opts),
+        "explore" => cmd_tier(JobKind::Explore, &opts),
+        "campaign" => cmd_tier(JobKind::Campaign, &opts),
+        "bulk" => cmd_tier(JobKind::Bulk, &opts),
         "capacity" => cmd_capacity(&opts),
         "certify" => cmd_certify(&opts),
         "verify" => cmd_verify(&opts),
@@ -121,6 +120,7 @@ struct Opts {
     protocol: String,
     protocol_explicit: bool,
     workload: String,
+    /// `--n` values; empty = the command's default (see [`Opts::ns_or`]).
     ns: Vec<usize>,
     seed: u64,
     adversary: String,
@@ -174,7 +174,7 @@ impl Opts {
             protocol: "build:1".into(),
             protocol_explicit: false,
             workload: "tree".into(),
-            ns: vec![100],
+            ns: Vec::new(),
             seed: 1,
             adversary: "random:1".into(),
             trace: false,
@@ -232,47 +232,28 @@ impl Opts {
                 }
                 "--workload" | "--graph-family" => o.workload = value(a)?,
                 "--n" => {
-                    o.ns = value("--n")?
+                    let ns = value("--n")?;
+                    o.ns = ns
                         .split(',')
-                        .map(|s| s.trim().parse::<usize>().map_err(|e| e.to_string()))
+                        .map(|v| number(v.trim()))
                         .collect::<Result<_, _>>()?;
                 }
-                "--seed" => {
-                    o.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?
-                }
+                "--seed" => o.seed = number(&value("--seed")?)?,
                 "--adversary" => o.adversary = value("--adversary")?,
                 "--trace" => o.trace = true,
-                "--max-states" => {
-                    o.max_states = value("--max-states")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?
-                }
+                "--max-states" => o.max_states = number(&value("--max-states")?)?,
                 "--par" => o.par = true,
                 "--compare-naive" => o.compare_naive = true,
                 "--dedup" => o.dedup = value("--dedup")?,
                 "--reduction" => o.reduction = value("--reduction")?,
                 "--json" => o.json = true,
-                "--trials" => {
-                    o.trials = value("--trials")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?
-                }
+                "--trials" => o.trials = number(&value("--trials")?)?,
                 "--sampler" => o.sampler = value("--sampler")?,
                 "--model" => o.model = value("--model")?,
-                "--batch" => {
-                    o.batch = Some(
-                        value("--batch")?
-                            .parse()
-                            .map_err(|e: std::num::ParseIntError| e.to_string())?,
-                    )
-                }
+                "--batch" => o.batch = Some(number(&value("--batch")?)?),
                 "--faults" => o.faults = Some(value("--faults")?),
                 "--deadline-ms" => {
-                    let ms: u64 = value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+                    let ms = number(&value("--deadline-ms")?)?;
                     if ms == 0 {
                         return Err("--deadline-ms must be at least 1".into());
                     }
@@ -287,29 +268,19 @@ impl Opts {
                 "--out" => o.out = Some(value("--out")?),
                 "--socket" => o.socket = Some(value("--socket")?),
                 "--workers" => {
-                    o.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+                    o.workers = number(&value("--workers")?)?;
                     if o.workers == 0 {
                         return Err("--workers must be at least 1".into());
                     }
                 }
                 "--queue-cap" => {
-                    o.queue_cap = value("--queue-cap")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+                    o.queue_cap = number(&value("--queue-cap")?)?;
                     if o.queue_cap == 0 {
                         return Err("--queue-cap must be at least 1".into());
                     }
                 }
                 "--kind" => o.kind = Some(value("--kind")?),
-                "--job" => {
-                    o.job = Some(
-                        value("--job")?
-                            .parse()
-                            .map_err(|e: std::num::ParseIntError| e.to_string())?,
-                    )
-                }
+                "--job" => o.job = Some(number(&value("--job")?)?),
                 "--no-wait" => o.no_wait = true,
                 other if !other.starts_with("--") => {
                     // Only `verify` takes positionals (certificate files);
@@ -329,6 +300,15 @@ impl Opts {
         Ok(o)
     }
 
+    /// The `--n` values, or `[default]` when `--n` was not given.
+    fn ns_or(&self, default: usize) -> Vec<usize> {
+        if self.ns.is_empty() {
+            vec![default]
+        } else {
+            self.ns.clone()
+        }
+    }
+
     fn make_adversary(&self) -> Result<Box<dyn Adversary>, String> {
         let (kind, arg) = split_spec(&self.adversary);
         Ok(match kind {
@@ -340,14 +320,14 @@ impl Opts {
     }
 }
 
-use wb_core::registry;
-use wb_core::workload::split_spec;
-
-/// Graph-family selection is shared with the campaign engine and the
-/// experiment binaries — see `wb_core::workload`.
-fn make_workload(spec: &str, n: usize, seed: u64) -> Result<Graph, String> {
-    wb_core::workload::graph_family(spec, n, seed)
+/// A numeric flag value.
+fn number<T: std::str::FromStr<Err = std::num::ParseIntError>>(v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|e: std::num::ParseIntError| e.to_string())
 }
+
+use wb_core::registry;
+use wb_core::workload::{graph_family, split_spec};
 
 /// Unwrap a terminal outcome, or explain why there is none. Protocols whose
 /// referee reads the full board always terminate on the engine's schedules,
@@ -541,8 +521,7 @@ fn run_one(
 }
 
 fn cmd_dot(o: &Opts) -> Result<(), String> {
-    let n = *o.ns.first().unwrap_or(&20);
-    let g = make_workload(&o.workload, n, o.seed)?;
+    let g = graph_family(&o.workload, o.ns_or(20)[0], o.seed)?;
     if o.protocol.starts_with("bfs") {
         let forest = checks::bfs_forest(&g);
         print!(
@@ -569,8 +548,8 @@ fn print_trace(rows: &[wb_runtime::TraceRow]) {
 }
 
 fn cmd_run(o: &Opts) -> Result<(), String> {
-    for &n in &o.ns {
-        let g = make_workload(&o.workload, n, o.seed)?;
+    for n in o.ns_or(100) {
+        let g = graph_family(&o.workload, n, o.seed)?;
         let mut adv = o.make_adversary()?;
         let line = run_one(&o.protocol, &g, adv.as_mut(), o.trace)?;
         println!("n={n:>6} {}: {line}", o.workload);
@@ -582,7 +561,7 @@ fn cmd_check(o: &Opts) -> Result<(), String> {
     // Exhaustive model checking over all labeled graphs on n nodes: every
     // registry protocol is checkable against its oracle (the per-protocol
     // match arms this command used to carry live in `wb_core::registry`).
-    let n = *o.ns.first().unwrap_or(&4);
+    let n = o.ns_or(4)[0];
     if n > 5 {
         return Err("check enumerates all graphs; use --n ≤ 5".into());
     }
@@ -640,8 +619,8 @@ fn cmd_check(o: &Opts) -> Result<(), String> {
 }
 
 /// Build the daemon-layer job spec equivalent to this invocation's flags —
-/// `explore --json`, `bulk --json`, and `submit` all go through this, which
-/// is what makes daemon reports byte-identical to CLI reports.
+/// `explore`, `campaign`, `bulk`, `certify` and `submit` all go through
+/// this, which is what makes daemon reports byte-identical to CLI reports.
 fn job_spec_from_opts(kind: JobKind, o: &Opts, n: usize) -> JobSpec {
     let mut spec = JobSpec::new(kind);
     if o.protocol_explicit {
@@ -664,201 +643,248 @@ fn job_spec_from_opts(kind: JobKind, o: &Opts, n: usize) -> JobSpec {
     spec
 }
 
-/// Schedule-space exploration of one protocol on one workload graph,
-/// printing the structured report (distinct states, dedup ratio, failures)
-/// or — with `--json` — one machine-readable object (deterministic: timing
-/// goes to stderr, and the daemon emits the identical bytes for the same
-/// job).
-fn cmd_explore(o: &Opts) -> Result<(), String> {
-    use wb_runtime::exhaustive::{
-        explore_parallel_with, explore_with, ExplorationReport, ExploreConfig,
-    };
-    let n = *o.ns.first().unwrap_or(&6);
-    let g = make_workload(&o.workload, n, o.seed)?;
-    let faults = parse_faults(o.faults.as_deref())?;
-    let dedup = parse_dedup(&o.dedup)?;
-    let config = ExploreConfig::default()
-        .with_max_states(o.max_states)
-        .with_dedup(dedup)
-        .with_faults(faults)
-        .with_reduction(parse_reduction(&o.reduction, dedup)?);
-
-    // `--certify PATH`: additionally run the certifying walk and write one
-    // `wb-cert/v1` line. Emitted before the report so a FAIL verdict (which
-    // makes this command exit nonzero) still leaves the certificate — the
-    // failing case is exactly the one worth re-checking independently.
-    if let Some(path) = &o.certify {
-        let run = wb_bench::certify::certify_spec(
-            &o.protocol,
-            &g,
-            None,
-            wb_bench::certify::Provenance {
-                family: Some(&o.workload),
-                seed: Some(o.seed),
-            },
-            &config,
-        )?;
-        std::fs::write(path, run.certificate.to_json_line() + "\n")
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!(
-            "certificate: {} states, {} terminals, {} failing -> {path}",
-            run.distinct_states, run.terminals, run.failures
-        );
-    }
-
-    // `--json` goes through the daemon's job layer: one deterministic
-    // canonical object on stdout (timing on stderr), byte-identical to what
-    // `whiteboard serve` returns for the same spec.
-    if o.json {
-        let spec = job_spec_from_opts(JobKind::Explore, o, n);
+/// `explore`, `campaign` and `bulk`: one `wb_serve::run_job` per `--n`,
+/// timed at that boundary. `--json` prints the report line (timing on
+/// stderr) — the bytes `whiteboard serve` returns for the same spec — and
+/// text mode renders that same report. Explore and bulk exit nonzero on a
+/// FAIL verdict; a campaign reports its failures and exits 0.
+///
+/// `explore --certify PATH` also writes a `wb-cert/v1` line, before the
+/// report, so a FAIL verdict still leaves the certificate — the failing
+/// case is exactly the one worth re-checking independently. `campaign
+/// --shrink` delta-debugs the first witness (see [`shrink_first_witness`]).
+fn cmd_tier(kind: JobKind, o: &Opts) -> Result<(), String> {
+    for n in o.ns_or(JobSpec::new(kind).n) {
+        let spec = job_spec_from_opts(kind, o, n);
+        if kind == JobKind::Campaign && o.shrink {
+            refuse_unshrinkable(o, &spec)?;
+        }
+        if let (JobKind::Explore, Some(path)) = (kind, &o.certify) {
+            let run = certify(&spec, None)?;
+            std::fs::write(path, run.certificate.to_json_line() + "\n")
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!(
+                "certificate: {} states, {} terminals, {} failing -> {path}",
+                run.distinct_states, run.terminals, run.failures
+            );
+        }
         let start = std::time::Instant::now();
-        let report = wb_serve::run_job(&spec)?;
-        eprintln!("explore wall: {:.3}s", start.elapsed().as_secs_f64());
-        println!("{}", report.line());
-        return match report.verdict.as_str() {
-            "FAIL" => Err("exploration found failing terminal(s)".into()),
-            _ => Ok(()),
-        };
-    }
-
-    /// `(states, schedules, truncated)` of the dedup-off comparison walk.
-    type NaiveStats = (u64, u64, bool);
-
-    fn print_report<O: std::fmt::Debug>(
-        o: &Opts,
-        g: &Graph,
-        report: &ExplorationReport<O>,
-        wall_sec: f64,
-        naive: Option<NaiveStats>,
-    ) -> Result<(), String> {
-        let verdict = if !report.failures.is_empty() {
-            "FAIL"
-        } else if report.truncated {
-            "INCONCLUSIVE"
+        let mut report = wb_serve::run_job(&spec)?;
+        let wall_sec = start.elapsed().as_secs_f64();
+        if kind == JobKind::Campaign && o.shrink {
+            shrink_first_witness(o, &spec, &mut report.json)?;
+        }
+        if o.json {
+            println!("{}", report.line());
+            eprintln!("{} wall: {wall_sec:.3}s", kind.name());
         } else {
-            "PASS"
-        };
-        if let Some((states, schedules, truncated)) = naive {
-            println!(
-                "naive (no dedup): {} states, {} schedules{} — dedup saves {:.1}x",
-                states,
-                schedules,
-                if truncated { " (truncated)" } else { "" },
-                states as f64 / report.distinct_states.max(1) as f64
-            );
-        }
-        println!("exploring {} on {} (n = {})", o.protocol, o.workload, g.n());
-        println!("  distinct states : {}", report.distinct_states);
-        println!("  terminal configs: {}", report.terminals);
-        println!(
-            "  merged branches : {} (dedup ratio {:.1}x)",
-            report.merged,
-            report.dedup_ratio()
-        );
-        println!("  peak frontier   : {}", report.peak_frontier);
-        println!("  states/sec      : {:.0}", report.states_per_sec(wall_sec));
-        println!(
-            "  truncated       : {}",
-            if report.truncated {
-                "YES (partial result)"
-            } else {
-                "no"
-            }
-        );
-        if let Some(plan) = &o.faults {
-            println!("  faults          : {plan}");
-        }
-        if let Some(stats) = &report.reduction {
-            println!(
-                "  reduction       : {} (dpor {}, symmetry {}{}) — {} generated, \
-                 {} sleep-skipped, {} orbit terminals, {} re-expansions",
-                stats.policy,
-                if stats.dpor_active { "on" } else { "off" },
-                if stats.symmetry_active { "on" } else { "off" },
-                if stats.symmetry_active {
-                    format!(", |Aut| = {}", stats.group_order)
-                } else {
-                    String::new()
-                },
-                report.generated(),
-                stats.sleep_skipped,
-                stats.orbit_terminals,
-                stats.reexpansions
-            );
-        }
-        for f in report.failures.iter().take(5) {
-            if f.died.is_empty() {
-                println!("  FAIL under write order {:?}: {:?}", f.schedule, f.outcome);
-            } else {
-                println!(
-                    "  FAIL under write order {:?} (died {:?}): {:?}",
-                    f.schedule, f.died, f.outcome
-                );
+            match kind {
+                JobKind::Explore => print_explore(&report.json, wall_sec),
+                JobKind::Campaign => print_campaign(&report.json, wall_sec),
+                JobKind::Bulk => print_bulk(&report.json, wall_sec),
             }
         }
-        match verdict {
-            "PASS" => println!(
-                "  verdict         : PASS (every reachable configuration satisfies the oracle)"
-            ),
-            "INCONCLUSIVE" => println!("  verdict         : INCONCLUSIVE (truncated)"),
-            _ => {}
+        if report.verdict == "FAIL" && kind != JobKind::Campaign {
+            return Err(format!("{} job completed with verdict FAIL", kind.name()));
         }
-        if report.failures.is_empty() {
-            Ok(())
+    }
+    Ok(())
+}
+
+/// Field `key` of a report, read with `as_t`. The report comes from
+/// `run_job` in this process, so a missing or mistyped required key is a
+/// schema bug: panic naming it rather than print a wrong number.
+fn field<'a, T>(report: &'a Json, key: &str, as_t: impl FnOnce(&'a Json) -> Option<T>) -> T {
+    let value = report.get(key).and_then(as_t);
+    value.unwrap_or_else(|| panic!("report field {key:?} is missing or mistyped"))
+}
+
+/// Count field of a report.
+fn count(report: &Json, key: &str) -> u64 {
+    field(report, key, Json::as_f64) as u64
+}
+
+/// String field of a report.
+fn text<'a>(report: &'a Json, key: &str) -> &'a str {
+    field(report, key, Json::as_str)
+}
+
+/// Boolean field of a report.
+fn flag(report: &Json, key: &str) -> bool {
+    field(report, key, |v| match v {
+        Json::Bool(b) => Some(*b),
+        _ => None,
+    })
+}
+
+/// Node-list field of a report.
+fn nodes(report: &Json, key: &str) -> Vec<NodeId> {
+    let list = field(report, key, Json::as_arr).iter();
+    list.map(|v| v.as_f64().expect("node ids are numbers") as NodeId)
+        .collect()
+}
+
+/// A witness's ` (died [..])` note, empty when no write died (or the job
+/// ran no fault plan, so the witness has no `died` key).
+fn died_note(witness: &Json) -> String {
+    match witness.get("died").map(|_| nodes(witness, "died")) {
+        Some(died) if !died.is_empty() => format!(" (died {died:?})"),
+        _ => String::new(),
+    }
+}
+
+/// `count / secs`, or 0 for a zero or unmeasurable wall time.
+fn per_sec(count: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
+    }
+}
+
+/// Text rendering of a `wb-serve/explore/v1` report.
+fn print_explore(r: &Json, wall_sec: f64) {
+    let (states, merged) = (count(r, "distinct_states"), count(r, "merged"));
+    if r.get("naive_states").is_some() {
+        let (naive, schedules) = (count(r, "naive_states"), count(r, "naive_schedules"));
+        let truncated = if flag(r, "naive_truncated") {
+            " (truncated)"
         } else {
-            Err(format!("{} failing terminal(s)", report.failures.len()))
-        }
+            ""
+        };
+        let saves = naive as f64 / states.max(1) as f64;
+        println!(
+            "naive (no dedup): {naive} states, {schedules} schedules{truncated} — \
+             dedup saves {saves:.1}x"
+        );
     }
-
-    /// Registry visitor: explore the resolved protocol against its oracle.
-    struct ExploreOne<'a> {
-        o: &'a Opts,
-        g: &'a Graph,
-        config: ExploreConfig,
-        faults: Option<wb_runtime::FaultPlan>,
+    let (protocol, workload, n) = (text(r, "protocol"), text(r, "workload"), count(r, "n"));
+    let (terminals, peak) = (count(r, "terminals"), count(r, "peak_frontier"));
+    let ratio = (states + merged) as f64 / states.max(1) as f64;
+    let rate = per_sec(states, wall_sec);
+    let truncated = if flag(r, "truncated") {
+        "YES (partial result)"
+    } else {
+        "no"
+    };
+    println!(
+        "exploring {protocol} on {workload} (n = {n})
+  distinct states : {states}
+  terminal configs: {terminals}
+  merged branches : {merged} (dedup ratio {ratio:.1}x)
+  peak frontier   : {peak}
+  states/sec      : {rate:.0}
+  truncated       : {truncated}"
+    );
+    if r.get("faults").is_some() {
+        println!("  faults          : {}", text(r, "faults"));
     }
-
-    impl registry::ProtocolVisitor for ExploreOne<'_> {
-        type Result = Result<(), String>;
-        fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
-        where
-            P: Protocol + Clone + Send + Sync,
-            P::Node: Send + Sync,
-            P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-            B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
-        {
-            let (o, g) = (self.o, self.g);
-            let oracle = bind(g);
-            let pred = |out: &Outcome<P::Output>, died: &[NodeId]| oracle(out, died);
-            let start = std::time::Instant::now();
-            let report = if o.par {
-                explore_parallel_with(&protocol, g, &self.config, &pred)
-            } else {
-                explore_with(&protocol, g, &self.config, &pred)
-            };
-            let wall_sec = start.elapsed().as_secs_f64();
-            let naive = o.compare_naive.then(|| {
-                let off = ExploreConfig::default()
-                    .without_dedup()
-                    .with_max_states(o.max_states)
-                    .with_faults(self.faults);
-                let naive = explore_with(&protocol, g, &off, &pred);
-                (naive.distinct_states, naive.terminals, naive.truncated)
-            });
-            print_report(o, g, &report, wall_sec, naive)
-        }
+    if let Some(stats) = r.get("reduction_stats") {
+        let on = |key| if flag(stats, key) { "on" } else { "off" };
+        let aut = if flag(stats, "symmetry_active") {
+            format!(", |Aut| = {}", count(stats, "group_order"))
+        } else {
+            String::new()
+        };
+        println!(
+            "  reduction       : {} (dpor {}, symmetry {}{aut}) — {} generated, \
+             {} sleep-skipped, {} orbit terminals, {} re-expansions",
+            text(r, "reduction"),
+            on("dpor_active"),
+            on("symmetry_active"),
+            count(stats, "generated"),
+            count(stats, "sleep_skipped"),
+            count(stats, "orbit_terminals"),
+            count(stats, "reexpansions")
+        );
     }
+    for w in r.get("witnesses").and_then(Json::as_arr).unwrap_or(&[]) {
+        let (schedule, died, outcome) = (nodes(w, "schedule"), died_note(w), text(w, "outcome"));
+        println!("  FAIL under write order {schedule:?}{died}: {outcome}");
+    }
+    match text(r, "verdict") {
+        "PASS" => println!(
+            "  verdict         : PASS (every reachable configuration satisfies the oracle)"
+        ),
+        "INCONCLUSIVE" => println!("  verdict         : INCONCLUSIVE (truncated)"),
+        _ => {}
+    }
+}
 
-    registry::dispatch(
-        &o.protocol,
-        n,
-        ExploreOne {
-            o,
-            g: &g,
-            config,
-            faults,
+/// Text rendering of a `wb-sim/campaign/v1` report, `shrunk_*` keys
+/// included.
+fn print_campaign(r: &Json, wall_sec: f64) {
+    let (protocol, model, family) = (text(r, "protocol"), text(r, "model"), text(r, "family"));
+    let (n, trials) = (count(r, "n"), count(r, "trials"));
+    let (sampler, seed) = (text(r, "sampler"), text(r, "seed"));
+    println!(
+        "campaign: {protocol} @ {model} on {family} (n = {n})
+  trials          : {trials} (sampler {sampler}, seed {seed})"
+    );
+    if r.get("faults").is_some() {
+        println!("  faults          : {}", text(r, "faults"));
+    }
+    let (passed, failed) = (count(r, "passed"), count(r, "failed"));
+    let deadlocks = count(r, "deadlocks");
+    let (outcomes, rate) = (count(r, "distinct_outcomes"), per_sec(trials, wall_sec));
+    println!(
+        "  passed / failed : {passed} / {failed} (deadlocks {deadlocks})
+  distinct outcomes: {outcomes}
+  wall            : {wall_sec:.3}s ({rate:.0} trials/sec)"
+    );
+    let witnesses = r.get("witnesses").and_then(Json::as_arr).unwrap_or(&[]);
+    for w in witnesses.iter().take(3) {
+        let (trial, seed, schedule) = (count(w, "trial"), text(w, "seed"), nodes(w, "schedule"));
+        let (died, outcome) = (died_note(w), text(w, "outcome"));
+        println!("  FAIL trial {trial} (seed {seed}): write order {schedule:?}{died} → {outcome}");
+    }
+    if let (Some(w), Some(_)) = (witnesses.first(), r.get("shrunk_schedule")) {
+        let (from, to) = (nodes(w, "schedule").len(), nodes(r, "shrunk_schedule"));
+        let (len, replays) = (to.len(), count(r, "shrink_replays"));
+        println!("  shrunk witness  : {to:?} (len {from} → {len}, {replays} replays)");
+    }
+    println!("  verdict         : {}", text(r, "verdict"));
+}
+
+/// Text rendering of a `wb-serve/bulk/v1` report.
+fn print_bulk(r: &Json, wall_sec: f64) {
+    let (protocol, model, family) = (text(r, "protocol"), text(r, "model"), text(r, "family"));
+    let n = count(r, "n");
+    println!("bulk: {protocol} @ {model} on {family} (n = {n})");
+    if r.get("faults").is_some() {
+        let (plan, died) = (text(r, "faults"), nodes(r, "died"));
+        println!("  faults          : {plan} (died {died:?})");
+    }
+    let (rounds, shards) = (count(r, "rounds"), count(r, "shards"));
+    let payload = count(r, "board_payload_bytes");
+    let index = count(r, "board_index_bytes");
+    let (total, max) = (count(r, "total_bits"), count(r, "max_message_bits"));
+    let (rate, verdict) = (per_sec(rounds, wall_sec), text(r, "verdict"));
+    println!(
+        "  rounds          : {rounds} in {wall_sec:.3}s ({rate:.0} rounds/sec)
+  board           : {payload} bytes payload + {index} bytes index, {shards} shards
+  messages        : {total} bits total, {max} bits/msg max
+  verdict         : {verdict}"
+    );
+}
+
+/// One certified exhaustive walk of `spec`'s protocol on its workload
+/// instance, under `model` (`None` = the protocol's native model).
+fn certify(
+    spec: &JobSpec,
+    model: Option<Model>,
+) -> Result<wb_bench::certify::CertifiedRun, String> {
+    let g = graph_family(&spec.workload, spec.n, spec.seed)?;
+    wb_bench::certify::certify_spec(
+        &spec.protocol,
+        &g,
+        model,
+        wb_bench::certify::Provenance {
+            family: Some(&spec.workload),
+            seed: Some(spec.seed),
         },
-    )?
+        &explore_config(spec)?,
+    )
 }
 
 /// Emit machine-checkable exploration certificates: one certified
@@ -867,25 +893,10 @@ fn cmd_explore(o: &Opts) -> Result<(), String> {
 /// stdout stays pure JSONL. See `docs/CERTIFICATES.md`.
 fn cmd_certify(o: &Opts) -> Result<(), String> {
     let model = parse_model(&o.model)?;
-    let dedup = parse_dedup(&o.dedup)?;
-    let config = wb_runtime::ExploreConfig::default()
-        .with_max_states(o.max_states)
-        .with_dedup(dedup)
-        .with_faults(parse_faults(o.faults.as_deref())?)
-        .with_reduction(parse_reduction(&o.reduction, dedup)?);
+    let ns = o.ns_or(100);
     let mut lines = String::new();
-    for &n in &o.ns {
-        let g = make_workload(&o.workload, n, o.seed)?;
-        let run = wb_bench::certify::certify_spec(
-            &o.protocol,
-            &g,
-            model,
-            wb_bench::certify::Provenance {
-                family: Some(&o.workload),
-                seed: Some(o.seed),
-            },
-            &config,
-        )?;
+    for &n in &ns {
+        let run = certify(&job_spec_from_opts(JobKind::Explore, o, n), model)?;
         eprintln!(
             "certified {} on {} (n = {}, {}): {} states, {} terminals, {} failing",
             o.protocol,
@@ -902,7 +913,7 @@ fn cmd_certify(o: &Opts) -> Result<(), String> {
     match &o.out {
         Some(path) => {
             std::fs::write(path, lines).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {} certificate(s) to {path}", o.ns.len());
+            eprintln!("wrote {} certificate(s) to {path}", ns.len());
         }
         None => print!("{lines}"),
     }
@@ -952,356 +963,131 @@ fn cmd_verify(o: &Opts) -> Result<(), String> {
     }
 }
 
-/// Monte Carlo schedule campaign of one protocol on one graph-family
-/// instance: `--trials` seeded random schedules (each independently
-/// replayable from `--seed` + trial index), outcomes classified against the
-/// protocol's oracle, failures kept as witnesses and — with `--shrink` —
-/// delta-debugged to locally minimal schedules. `--shrink-out PATH`
-/// additionally writes the minimal witness as a `tests/corpus`-format
-/// fixture (native model only: corpus replay runs the native protocol).
-///
-/// The report (and its `--json` rendering) is deterministic for a fixed
-/// seed — independent of thread count and sharding — so timing goes to
-/// stderr, never into the JSON.
-fn cmd_campaign(o: &Opts) -> Result<(), String> {
-    let n = *o.ns.first().unwrap_or(&100);
-    let g = make_workload(&o.workload, n, o.seed)?;
-    let target = parse_model(&o.model)?;
-    let faults = parse_faults(o.faults.as_deref())?;
-    if faults.is_some() && o.shrink {
+/// `campaign --shrink` refusals, checked before the campaign spends its
+/// trials: shrinking replays schedules fault-free, and a `--shrink-out`
+/// fixture replays the native protocol.
+fn refuse_unshrinkable(o: &Opts, spec: &JobSpec) -> Result<(), String> {
+    if parse_faults(spec.faults.as_deref())?.is_some() {
         return Err(
             "--shrink replays schedules fault-free and cannot minimize faulted witnesses; \
              drop --faults or --shrink/--shrink-out"
                 .into(),
         );
     }
-    // The campaign's default protocol is MIS (cheap per-trial work, genuinely
-    // schedule-dependent outcomes) rather than the global BUILD default.
-    let spec = if o.protocol_explicit {
-        o.protocol.clone()
-    } else {
-        "mis:1".into()
-    };
-
-    /// Everything `drive` needs beyond the protocol and predicate.
-    struct Ctx<'a> {
-        o: &'a Opts,
-        g: &'a Graph,
-        spec: String,
-        target: Option<Model>,
-        faults: Option<wb_runtime::FaultPlan>,
-    }
-
-    fn drive<P, C>(ctx: &Ctx, p: P, pred: C) -> Result<(), String>
-    where
-        P: Protocol + Sync,
-        P::Output: std::fmt::Debug,
-        C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool + Sync,
-    {
-        match ctx.target {
-            Some(m) if m != p.model() => {
-                if !m.includes(p.model()) {
-                    return Err(format!(
-                        "cannot demote {} protocol '{}' to {m}",
-                        p.model(),
-                        ctx.spec
-                    ));
-                }
-                if ctx.o.shrink_out.is_some() {
-                    return Err(
-                        "--shrink-out requires the protocol's native model (corpus replay \
-                         runs the native protocol)"
-                            .into(),
-                    );
-                }
-                drive_native(ctx, &Promote::new(p, m), pred)
-            }
-            _ => drive_native(ctx, &p, pred),
-        }
-    }
-
-    fn drive_native<P, C>(ctx: &Ctx, p: &P, pred: C) -> Result<(), String>
-    where
-        P: Protocol + Sync,
-        P::Output: std::fmt::Debug,
-        C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool + Sync,
-    {
-        use wb_sim::json::Json;
-        let o = ctx.o;
-        let g = ctx.g;
-        let sampler = SamplerKind::parse(&o.sampler)?;
-        let mut config = CampaignConfig::default()
-            .with_trials(o.trials)
-            .with_seed(o.seed)
-            .with_sampler(sampler)
-            .with_faults(ctx.faults);
-        if let Some(batch) = o.batch {
-            config = config.with_batch(batch);
-        }
-        let labels = CampaignLabels {
-            protocol: ctx.spec.clone(),
-            model: p.model().to_string(),
-            family: o.workload.clone(),
-        };
-        let start = std::time::Instant::now();
-        let report = run_campaign_with(p, g, &config, &labels, &pred);
-        let wall_sec = start.elapsed().as_secs_f64();
-        let trials_per_sec = if wall_sec > 0.0 {
-            report.trials as f64 / wall_sec
-        } else {
-            0.0
-        };
-
-        let shrunk = match (o.shrink, report.witnesses.first()) {
-            // Shrinking replays schedules fault-free (the CLI refuses the
-            // combination of --shrink and a live --faults plan up front).
-            (true, Some(w)) => Some(shrink_schedule(
-                p,
-                g,
-                &w.schedule,
-                |outcome| !pred(outcome, &[]),
-                20_000,
-            )?),
-            _ => None,
-        };
-
-        if let Some(path) = &o.shrink_out {
-            if let Some(s) = &shrunk {
-                use shared_whiteboard::corpus::WitnessFixture;
-                // Strict replay of the minimal schedule pins the outcome the
-                // fixture must reproduce.
-                let replayed = run(p, g, &mut ScheduleAdversary::new(s.schedule.clone()));
-                let failure = ScheduleFailure {
-                    schedule: s.schedule.clone(),
-                    died: Vec::new(),
-                    outcome: replayed.outcome,
-                };
-                let fixture =
-                    WitnessFixture::from_failure("campaign-shrunk", &ctx.spec, g, &failure);
-                fixture
-                    .save(std::path::Path::new(path))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                // Self-check through the corpus replay registry before
-                // telling the user the witness is durable.
-                fixture.replay()?;
-                eprintln!("wrote shrunk witness fixture to {path}");
-            } else {
-                eprintln!("no failing trials: nothing written to {path}");
-            }
-        }
-
-        if o.json {
-            let mut json = report.to_json();
-            if let (Json::Obj(map), Some(s)) = (&mut json, &shrunk) {
-                map.insert(
-                    "shrunk_schedule".into(),
-                    Json::Arr(s.schedule.iter().map(|&v| Json::Num(v as f64)).collect()),
-                );
-                map.insert("shrunk_outcome".into(), Json::Str(s.outcome.clone()));
-                map.insert("shrink_replays".into(), Json::Num(s.replays as f64));
-            }
-            println!("{json}");
-            eprintln!("campaign wall: {wall_sec:.3}s ({trials_per_sec:.0} trials/sec)");
-        } else {
-            println!(
-                "campaign: {} @ {} on {} (n = {})",
-                ctx.spec,
-                labels.model,
-                o.workload,
-                g.n()
-            );
-            println!(
-                "  trials          : {} (sampler {}, seed {})",
-                report.trials, report.sampler, report.seed
-            );
-            if let Some(plan) = &report.faults {
-                println!("  faults          : {plan}");
-            }
-            println!(
-                "  passed / failed : {} / {} (deadlocks {})",
-                report.passed, report.failed, report.deadlocks
-            );
-            println!("  distinct outcomes: {}", report.distinct_outcomes);
-            println!("  wall            : {wall_sec:.3}s ({trials_per_sec:.0} trials/sec)");
-            for w in report.witnesses.iter().take(3) {
-                if w.died.is_empty() {
-                    println!(
-                        "  FAIL trial {} (seed {}): write order {:?} → {}",
-                        w.trial, w.seed, w.schedule, w.outcome
-                    );
-                } else {
-                    println!(
-                        "  FAIL trial {} (seed {}): write order {:?} (died {:?}) → {}",
-                        w.trial, w.seed, w.schedule, w.died, w.outcome
-                    );
-                }
-            }
-            if let Some(s) = &shrunk {
-                println!(
-                    "  shrunk witness  : {:?} (len {} → {}, {} replays)",
-                    s.schedule,
-                    s.original_len,
-                    s.schedule.len(),
-                    s.replays
-                );
-            }
-            println!("  verdict         : {}", report.verdict());
-        }
-        Ok(())
-    }
-
-    /// Registry visitor: run the campaign with the resolved protocol and
-    /// its instance-bound oracle.
-    struct CampaignOne<'a> {
-        ctx: Ctx<'a>,
-    }
-
-    impl registry::ProtocolVisitor for CampaignOne<'_> {
-        type Result = Result<(), String>;
-        fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
-        where
-            P: Protocol + Clone + Send + Sync,
-            P::Node: Send + Sync,
-            P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-            B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
-        {
-            let oracle = bind(self.ctx.g);
-            let pred = move |out: &Outcome<P::Output>, died: &[NodeId]| oracle(out, died);
-            drive(&self.ctx, protocol, pred)
-        }
-    }
-
-    let ctx = Ctx {
-        o,
-        g: &g,
-        spec: spec.clone(),
-        target,
-        faults,
-    };
-    registry::dispatch(&spec, n, CampaignOne { ctx })?
-}
-
-/// One columnar bulk execution (third tier): a seeded random schedule of a
-/// simultaneous-native protocol at `n` up to 10⁵ and beyond — under its
-/// native model or any free target that includes it (`--model sync|async`
-/// drives the event-driven scheduler) — verified against the registry
-/// oracle, with rounds/sec and board bytes reported. Sweeps every `--n`
-/// value like `run` does.
-fn cmd_bulk(o: &Opts) -> Result<(), String> {
-    use wb_runtime::bulk::{bulk_model, run_bulk, run_bulk_crashed, shuffled_schedule, BulkConfig};
-
-    struct BulkOne<'a> {
-        o: &'a Opts,
-        g: &'a Graph,
-        target: Option<Model>,
-        /// Crash-stop only; lossy plans are refused before dispatch.
-        faults: Option<wb_runtime::FaultPlan>,
-    }
-
-    impl registry::BulkVisitor for BulkOne<'_> {
-        type Result = Result<(), String>;
-        fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
-        where
-            P: wb_runtime::BulkProtocol + Send + Sync,
-            P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-            B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
-        {
-            let (o, g) = (self.o, self.g);
-            let n = g.n();
-            let model = bulk_model(protocol.model(), self.target)
-                .map_err(|e| format!("protocol '{}': {e}", o.protocol))?;
-            let schedule = shuffled_schedule(n, o.seed);
-            let config = BulkConfig::default().with_batch(o.batch.unwrap_or(4096));
-            let start = std::time::Instant::now();
-            let report = match self.faults {
-                Some(plan) => {
-                    let victims = plan.sample_victims(n, o.seed)?;
-                    run_bulk_crashed(&protocol, g, &schedule, self.target, &config, &victims)
-                }
-                None => run_bulk(&protocol, g, &schedule, self.target, &config),
-            }
-            .expect("bulk model pre-validated");
-            let wall_sec = start.elapsed().as_secs_f64();
-            let rounds_per_sec = if wall_sec > 0.0 {
-                report.rounds as f64 / wall_sec
-            } else {
-                0.0
-            };
-            let oracle = bind(g);
-            let pass = oracle(&report.outcome, &report.crashed);
-            let verdict = if pass { "PASS" } else { "FAIL" };
-            println!("bulk: {} @ {model} on {} (n = {n})", o.protocol, o.workload);
-            if let Some(plan) = self.faults {
-                println!(
-                    "  faults          : {} (died {:?})",
-                    plan.spec(),
-                    report.crashed
-                );
-            }
-            println!(
-                "  rounds          : {} in {wall_sec:.3}s ({rounds_per_sec:.0} rounds/sec)",
-                report.rounds
-            );
-            println!(
-                "  board           : {} bytes payload + {} bytes index, {} shards",
-                report.board.payload_bytes(),
-                report.board.index_bytes(),
-                report.board.shard_count()
-            );
-            println!(
-                "  messages        : {} bits total, {} bits/msg max (budget {})",
-                report.total_bits(),
-                report.max_message_bits(),
-                protocol.budget_bits(n)
-            );
-            println!("  verdict         : {verdict}");
-            if pass {
-                Ok(())
-            } else {
-                Err("bulk outcome violated the oracle".into())
-            }
-        }
-    }
-
-    let target = parse_bulk_model(&o.model)?;
-    let faults = parse_faults(o.faults.as_deref())?;
-    if let Some(plan) = &faults {
-        if plan.kind() == wb_runtime::FaultKind::Lossy {
-            return Err(format!(
-                "the bulk tier executes crash-stop fault plans only, not {} (lossy \
-                 suppression is an adaptive mid-run adversary; use `explore` or `campaign`)",
-                plan.spec()
-            ));
-        }
-    }
-    for &n in &o.ns {
-        // `--json` delegates to the daemon's job layer: deterministic
-        // canonical object on stdout, timing on stderr, byte-identical to
-        // what `whiteboard serve` returns for the same spec.
-        if o.json {
-            let spec = job_spec_from_opts(JobKind::Bulk, o, n);
-            let start = std::time::Instant::now();
-            let report = wb_serve::run_job(&spec)?;
-            eprintln!("bulk wall: {:.3}s", start.elapsed().as_secs_f64());
-            println!("{}", report.line());
-            if report.verdict == "FAIL" {
-                return Err("bulk outcome violated the oracle".into());
-            }
-            continue;
-        }
-        let g = make_workload(&o.workload, n, o.seed)?;
-        registry::dispatch_bulk(
-            &o.protocol,
-            n,
-            BulkOne {
-                o,
-                g: &g,
-                target,
-                faults,
-            },
-        )??;
+    let native = registry::info(split_spec(&spec.protocol).0).map(|p| p.model);
+    let promoted = matches!((parse_model(&spec.model)?, native), (Some(m), Some(n)) if m != n);
+    if o.shrink_out.is_some() && promoted {
+        return Err(
+            "--shrink-out requires the protocol's native model (corpus replay runs the \
+             native protocol)"
+                .into(),
+        );
     }
     Ok(())
+}
+
+/// `campaign --shrink`: delta-debug the report's first witness to a locally
+/// minimal failing schedule and add it to the report as the `shrunk_*`
+/// keys. `--shrink-out PATH` additionally writes it as a `tests/corpus`
+/// fixture.
+fn shrink_first_witness(o: &Opts, spec: &JobSpec, report: &mut Json) -> Result<(), String> {
+    let first = report
+        .get("witnesses")
+        .and_then(Json::as_arr)
+        .and_then(<[Json]>::first);
+    let Some(witness) = first.map(|w| nodes(w, "schedule")) else {
+        if let Some(path) = &o.shrink_out {
+            eprintln!("no failing trials: nothing written to {path}");
+        }
+        return Ok(());
+    };
+    let g = graph_family(&spec.workload, spec.n, spec.seed)?;
+    let shrunk = registry::dispatch(
+        &spec.protocol,
+        spec.n,
+        ShrinkOne {
+            g: &g,
+            protocol: &spec.protocol,
+            target: parse_model(&spec.model)?,
+            witness,
+            out: o.shrink_out.as_deref(),
+        },
+    )??;
+    if let Json::Obj(map) = report {
+        let schedule = shrunk.schedule.iter().map(|&v| Json::Num(v as f64));
+        map.insert("shrunk_schedule".into(), Json::Arr(schedule.collect()));
+        map.insert("shrunk_outcome".into(), Json::Str(shrunk.outcome));
+        map.insert("shrink_replays".into(), Json::Num(shrunk.replays as f64));
+    }
+    Ok(())
+}
+
+/// Registry visitor: shrink a campaign witness against the protocol (under
+/// the campaign's model) and its instance-bound oracle.
+struct ShrinkOne<'a> {
+    g: &'a Graph,
+    protocol: &'a str,
+    target: Option<Model>,
+    witness: Vec<NodeId>,
+    out: Option<&'a str>,
+}
+
+impl registry::ProtocolVisitor for ShrinkOne<'_> {
+    type Result = Result<ShrinkReport, String>;
+    fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
+    where
+        P: Protocol + Clone + Send + Sync,
+        P::Node: Send + Sync,
+        P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
+    {
+        let oracle = bind(self.g);
+        let fails = |out: &Outcome<P::Output>| !oracle(out, &[]);
+        match self.target {
+            // `run_job` has already refused demotions.
+            Some(m) if m != protocol.model() => self.shrink(&Promote::new(protocol, m), fails),
+            _ => self.shrink(&protocol, fails),
+        }
+    }
+}
+
+impl ShrinkOne<'_> {
+    fn shrink<P>(
+        &self,
+        p: &P,
+        fails: impl Fn(&Outcome<P::Output>) -> bool,
+    ) -> Result<ShrinkReport, String>
+    where
+        P: Protocol,
+        P::Output: std::fmt::Debug,
+    {
+        let shrunk = shrink_schedule(p, self.g, &self.witness, fails, 20_000)?;
+        if let Some(path) = self.out {
+            use shared_whiteboard::corpus::WitnessFixture;
+            // Strict replay of the minimal schedule pins the outcome the
+            // fixture must reproduce.
+            let replayed = run(
+                p,
+                self.g,
+                &mut ScheduleAdversary::new(shrunk.schedule.clone()),
+            );
+            let failure = ScheduleFailure {
+                schedule: shrunk.schedule.clone(),
+                died: Vec::new(),
+                outcome: replayed.outcome,
+            };
+            let fixture =
+                WitnessFixture::from_failure("campaign-shrunk", self.protocol, self.g, &failure);
+            fixture
+                .save(std::path::Path::new(path))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            // Self-check through the corpus replay registry before telling
+            // the user the witness is durable.
+            fixture.replay()?;
+            eprintln!("wrote shrunk witness fixture to {path}");
+        }
+        Ok(shrunk)
+    }
 }
 
 /// The socket path every daemon subcommand needs.
@@ -1349,8 +1135,7 @@ fn cmd_submit(o: &Opts) -> Result<(), String> {
         .as_deref()
         .ok_or("submit requires --kind explore|campaign|bulk")?;
     let kind = JobKind::parse(kind_name)?;
-    let n = *o.ns.first().unwrap_or(&100);
-    let spec = job_spec_from_opts(kind, o, n);
+    let spec = job_spec_from_opts(kind, o, o.ns_or(JobSpec::new(kind).n)[0]);
     let mut client = connect(o, "submit")?;
     if o.no_wait {
         let id = client.submit(&spec).map_err(|e| e.to_string())?;
@@ -1387,6 +1172,7 @@ fn cmd_capacity(o: &Opts) -> Result<(), String> {
         "{:>28} {:>9} {:>8} {:>14} {:>14} {:>11}",
         "family", "f(n)", "n", "required", "capacity", "verdict"
     );
+    let ns = o.ns_or(100);
     for family in [
         Family::LabeledTrees,
         Family::BipartiteFixedHalves,
@@ -1398,7 +1184,7 @@ fn cmd_capacity(o: &Opts) -> Result<(), String> {
             MessageRegime::SqrtN,
             MessageRegime::Linear,
         ] {
-            for &n in &o.ns {
+            for &n in &ns {
                 let v = verdict(family, n as u64, regime);
                 println!(
                     "{:>28} {:>9} {:>8} {:>14} {:>14} {:>11}",

@@ -137,6 +137,103 @@ fn explore_prints_the_report_and_dedup_stats() {
 }
 
 #[test]
+fn commands_without_n_use_their_own_defaults() {
+    // `check` enumerates n = 4 graphs, and the tier commands take the job
+    // layer's default (explore: n = 6).
+    let (ok, out) = whiteboard(&["check", "--protocol", "mis:1"]);
+    assert!(ok, "{out}");
+    assert!(out.contains("(n = 4)"), "{out}");
+    let args: Vec<&str> = "explore --protocol mis:1 --workload path --json"
+        .split(' ')
+        .collect();
+    let (ok, out) = whiteboard_stdout(&args);
+    assert!(ok, "{out}");
+    assert!(out.contains("\"n\":6"), "{out}");
+}
+
+#[test]
+fn explore_failures_name_their_witnesses_in_text_and_json() {
+    // The Open Problem 3 ablation graph (triangle with tail) deadlocks the
+    // async bipartite BFS: both renderings exit nonzero and name the
+    // failing write order.
+    let graph_path =
+        std::env::temp_dir().join(format!("wb_cli_explore_fail_{}.txt", std::process::id()));
+    std::fs::write(&graph_path, "5\n1 2\n2 3\n1 3\n3 4\n4 5\n").unwrap();
+    let family = format!("file:{}", graph_path.display());
+    let args = [
+        "explore",
+        "--protocol",
+        "async-bipartite-bfs",
+        "--workload",
+        &family,
+    ];
+    let (ok, out) = whiteboard(&args);
+    assert!(!ok, "{out}");
+    assert!(out.contains("FAIL under write order [1, 2, 3, 4]"), "{out}");
+    let (ok, out) = whiteboard_stdout(&[&args[..], &["--json"]].concat());
+    assert!(!ok, "{out}");
+    let doc = wb_bench::json::Json::parse(out.trim()).expect("valid JSON");
+    let witness = &doc.get("witnesses").and_then(|w| w.as_arr()).unwrap()[0];
+    assert_eq!(witness.get("schedule").unwrap().to_string(), "[1,2,3,4]");
+    let outcome = witness.get("outcome").unwrap().to_string();
+    assert!(outcome.contains("Deadlock"), "{outcome}");
+    let _ = std::fs::remove_file(&graph_path);
+}
+
+#[test]
+fn text_reports_show_the_json_report_numbers() {
+    // Text mode renders the report `--json` prints: each listed line's
+    // leading numbers are the named JSON fields of the same run.
+    let cases: [(&str, &[(&str, &[&str])]); 3] = [
+        (
+            "explore --protocol mis:1 --workload cycle --n 6",
+            &[
+                ("distinct states", &["distinct_states"]),
+                ("terminal configs", &["terminals"]),
+                ("merged branches", &["merged"]),
+            ],
+        ),
+        (
+            "campaign --protocol mis:1 --graph-family gnp --n 30 --trials 300 --seed 4 \
+             --faults crash:1",
+            &[
+                ("passed / failed", &["passed", "failed"]),
+                ("distinct outcomes", &["distinct_outcomes"]),
+            ],
+        ),
+        (
+            "bulk --protocol build:2 --graph-family kdeg-lin:2 --n 1500",
+            &[
+                ("rounds", &["rounds"]),
+                ("board", &["board_payload_bytes", "board_index_bytes"]),
+            ],
+        ),
+    ];
+    for (args, lines) in cases {
+        let args: Vec<&str> = args.split_whitespace().collect();
+        let (ok, text) = whiteboard_stdout(&args);
+        assert!(ok, "{args:?}: {text}");
+        let (ok, json) = whiteboard_stdout(&[&args[..], &["--json"]].concat());
+        assert!(ok, "{args:?}: {json}");
+        let doc = wb_bench::json::Json::parse(json.trim()).expect("valid JSON");
+        for (label, fields) in lines {
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(label))
+                .unwrap_or_else(|| panic!("{args:?}: no '{label}' line in {text}"));
+            let numbers: Vec<f64> = line
+                .split(|c: char| !c.is_ascii_digit())
+                .filter_map(|w| w.parse().ok())
+                .collect();
+            for (i, field) in fields.iter().enumerate() {
+                let want = doc.get(field).and_then(|v| v.as_f64());
+                assert_eq!(numbers.get(i).copied(), want, "{args:?} {field}: {line}");
+            }
+        }
+    }
+}
+
+#[test]
 fn explore_json_emits_machine_readable_report() {
     let (ok, out) = whiteboard(&[
         "explore",

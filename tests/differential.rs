@@ -419,6 +419,48 @@ fn certificates_match_exact_dedup_and_naive_dfs_n4() {
 // Fault plans: the inert plan is byte-identical to no plan at all.
 // ---------------------------------------------------------------------------
 
+/// An explore job of async-bipartite-bfs on the Open Problem 3 ablation
+/// graph (a triangle with a tail), which deadlocks it: a FAIL report. The
+/// edge list is written to a temp file named after `tag`; remove it after.
+fn ablation_explore_spec(tag: &str) -> (wb_serve::jobs::JobSpec, std::path::PathBuf) {
+    use wb_serve::jobs::{JobKind, JobSpec};
+    let name = format!("wb_ablation_{tag}_{}.txt", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, "5\n1 2\n2 3\n1 3\n3 4\n4 5\n").unwrap();
+    let mut spec = JobSpec::new(JobKind::Explore);
+    spec.protocol = "async-bipartite-bfs".into();
+    spec.workload = format!("file:{}", path.display());
+    spec.n = 5;
+    (spec, path)
+}
+
+#[test]
+fn parallel_explore_failures_report_the_sequential_witnesses() {
+    // The parallel walk may discover a failing terminal through a different
+    // schedule on each run; a FAIL report must still be one byte string per
+    // spec, and equal to the sequential walk's apart from `par`.
+    use wb_serve::jobs::run_job;
+    let (base, path) = ablation_explore_spec("par");
+    for (faults, dedup) in [
+        (None, "canonical"),
+        (Some("crash:1"), "canonical"),
+        (None, "none"),
+    ] {
+        let mut sequential = base.clone();
+        sequential.faults = faults.map(str::to_string);
+        sequential.dedup = dedup.into();
+        let expected = run_job(&sequential).unwrap().line();
+        assert!(expected.contains("\"witnesses\""), "{expected}");
+        let expected = expected.replace("\"par\":false", "\"par\":true");
+        let mut parallel = sequential.clone();
+        parallel.par = true;
+        for _ in 0..5 {
+            assert_eq!(run_job(&parallel).unwrap().line(), expected);
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn inert_fault_plans_leave_job_reports_byte_identical_across_the_registry() {
     // The fault-free differential gate: for every registered protocol, on
@@ -428,6 +470,7 @@ fn inert_fault_plans_leave_job_reports_byte_identical_across_the_registry() {
     // the engines changed nothing about historical behavior.
     use wb_serve::jobs::{run_job, JobKind, JobSpec};
     let render = |spec: &JobSpec| run_job(spec).map(|r| (r.line(), r.verdict));
+    let mut bases = Vec::new();
     for info in registry::PROTOCOLS {
         for kind in [JobKind::Explore, JobKind::Campaign, JobKind::Bulk] {
             if kind == JobKind::Bulk && !info.bulk {
@@ -443,20 +486,29 @@ fn inert_fault_plans_leave_job_reports_byte_identical_across_the_registry() {
                 }
                 JobKind::Bulk => base.n = 60,
             }
-            let baseline = render(&base);
-            for plan in ["crash:0", "lossy:0"] {
-                let mut faulted = base.clone();
-                faulted.faults = Some(plan.into());
-                assert_eq!(
-                    render(&faulted),
-                    baseline,
-                    "{} {:?} with {plan} diverged from the fault-free report",
-                    info.spec,
-                    kind
-                );
-            }
+            bases.push(base);
         }
     }
+    // Every exploration above passes; the ablation job fails, so its report
+    // carries `witnesses`.
+    let (failing, ablation) = ablation_explore_spec("inert");
+    assert!(render(&failing).unwrap().0.contains("\"witnesses\""));
+    bases.push(failing);
+    for base in bases {
+        let baseline = render(&base);
+        for plan in ["crash:0", "lossy:0"] {
+            let mut faulted = base.clone();
+            faulted.faults = Some(plan.into());
+            assert_eq!(
+                render(&faulted),
+                baseline,
+                "{} {:?} with {plan} diverged from the fault-free report",
+                base.protocol,
+                base.kind
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&ablation);
 }
 
 #[test]
