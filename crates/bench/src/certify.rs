@@ -3,9 +3,9 @@
 //!
 //! This is the orchestration layer shared by `whiteboard certify`, the
 //! `exp_matrix` batch harness, and the integration tests: resolve the spec
-//! in [`wb_core::registry`], promote to the requested model if it is
-//! strictly stronger than the protocol's native one (Lemma 4), bind the
-//! registry oracle to the instance graph, and run the certifying walk from
+//! and the requested model through [`wb_core::registry::dispatch_at`]
+//! (which promotes per Lemma 4 and refuses demotions), bind the registry
+//! oracle to the instance graph, and run the certifying walk from
 //! [`wb_runtime::certificate`]. Keeping it in one place guarantees the
 //! producer and the independent verifier (`wb-verify`) resolve specs,
 //! models, and oracles identically — any disagreement is then a real bug,
@@ -13,7 +13,6 @@
 
 use wb_core::registry::{self, BoundOracle, ProtocolVisitor};
 use wb_graph::Graph;
-use wb_runtime::adapt::Promote;
 use wb_runtime::certificate::{certify, CertificateScenario, ExplorationCertificate};
 use wb_runtime::{ExploreConfig, Model, Protocol};
 
@@ -47,7 +46,6 @@ pub struct Provenance<'a> {
 struct Certify<'a> {
     spec: &'a str,
     g: &'a Graph,
-    model: Option<Model>,
     provenance: Provenance<'a>,
     config: &'a ExploreConfig,
 }
@@ -62,31 +60,12 @@ impl ProtocolVisitor for Certify<'_> {
         P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
         B: for<'g> Fn(&'g Graph) -> BoundOracle<'g, P::Output> + Send + Sync,
     {
-        let native = protocol.model();
-        let target = self.model.unwrap_or(native);
-        if !target.includes(native) {
-            return Err(format!(
-                "cannot demote: {} protocol cannot run under {target}",
-                native
-            ));
-        }
-        let oracle = bind(self.g);
         let scenario = CertificateScenario {
             protocol: self.spec,
             family: self.provenance.family,
             seed: self.provenance.seed,
         };
-        let certified = if target == native {
-            certify(&protocol, self.g, &scenario, self.config, oracle)?
-        } else {
-            certify(
-                &Promote::new(protocol, target),
-                self.g,
-                &scenario,
-                self.config,
-                oracle,
-            )?
-        };
+        let certified = certify(&protocol, self.g, &scenario, self.config, bind(self.g))?;
         Ok(CertifiedRun {
             distinct_states: certified.report.distinct_states,
             terminals: certified.report.terminals,
@@ -107,13 +86,13 @@ pub fn certify_spec(
     provenance: Provenance<'_>,
     config: &ExploreConfig,
 ) -> Result<CertifiedRun, String> {
-    registry::dispatch(
+    registry::dispatch_at(
         spec,
         g.n(),
+        model,
         Certify {
             spec,
             g,
-            model,
             provenance,
             config,
         },

@@ -12,6 +12,8 @@
 //!   [`ProtocolVisitor`] together with an oracle *binder* — a function that,
 //!   given one instance graph, returns the outcome-correctness predicate for
 //!   that instance (precomputing reference answers once per graph).
+//!   [`dispatch_at`] is the same under a `--model` target, promoting the
+//!   protocol (Lemma 4) or refusing a demotion.
 //! - [`dispatch_bulk`] does the same for the **bulk tier**
 //!   ([`wb_runtime::bulk`]): every `SIMASYNC` protocol is wrapped in
 //!   [`Oblivious`], and the observation-dependent `SIMSYNC` protocols (MIS,
@@ -66,6 +68,7 @@ use crate::two_cliques::{TwoCliques, TwoCliquesVerdict};
 use crate::two_cliques_randomized::TwoCliquesRandomized;
 use crate::workload::split_spec;
 use wb_graph::{checks, Graph, NodeId};
+use wb_runtime::adapt::Promote;
 use wb_runtime::bulk::Oblivious;
 use wb_runtime::{BulkProtocol, Model, Outcome, Protocol};
 
@@ -647,6 +650,62 @@ pub fn dispatch<V: ProtocolVisitor>(spec: &str, n: usize, visitor: V) -> Result<
         "degree-stats" => visitor.visit(DegreeStats, degree_stats_oracle()),
         other => return Err(unknown(other)),
     })
+}
+
+/// [`dispatch`] under an execution model: `None`, or the protocol's native
+/// model, hands `visitor` the protocol itself; a strictly stronger model
+/// hands it [`Promote::new`]`(protocol, model)` (Lemma 4); a weaker one is
+/// refused with `cannot demote {native} protocol '{spec}' to {model}`.
+/// Every step tier resolves `--model` here, so explore, campaign and certify
+/// promote and refuse identically.
+pub fn dispatch_at<V: ProtocolVisitor>(
+    spec: &str,
+    n: usize,
+    model: Option<Model>,
+    visitor: V,
+) -> Result<V::Result, String> {
+    dispatch(
+        spec,
+        n,
+        AtModel {
+            spec,
+            model,
+            visitor,
+        },
+    )?
+}
+
+/// The visitor adapter behind [`dispatch_at`].
+struct AtModel<'s, V> {
+    spec: &'s str,
+    model: Option<Model>,
+    visitor: V,
+}
+
+impl<V: ProtocolVisitor> ProtocolVisitor for AtModel<'_, V> {
+    type Result = Result<V::Result, String>;
+
+    fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
+    where
+        P: Protocol + Clone + Send + Sync,
+        P::Node: Send + Sync,
+        P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        B: for<'g> Fn(&'g Graph) -> BoundOracle<'g, P::Output> + Send + Sync,
+    {
+        let native = protocol.model();
+        match self.model {
+            Some(m) if m != native => {
+                if !m.includes(native) {
+                    return Err(format!(
+                        "cannot demote {native} protocol '{}' to {m}",
+                        self.spec
+                    ));
+                }
+                Ok(self.visitor.visit(Promote::new(protocol, m), bind))
+            }
+            _ => Ok(self.visitor.visit(protocol, bind)),
+        }
+    }
 }
 
 /// Resolve `spec` for the **bulk tier**: `SIMASYNC` protocols arrive wrapped

@@ -50,6 +50,7 @@ use wb_math::BitVec;
 /// assert_eq!(promoted.model(), Model::Sync);        // runs under SYNC rules
 /// assert_eq!(promoted.budget_bits(10), P.budget_bits(10)); // same f(n)
 /// ```
+#[derive(Clone)]
 pub struct Promote<P> {
     inner: P,
     target: Model,

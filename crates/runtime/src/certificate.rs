@@ -10,6 +10,15 @@
 //! split. The full format specification and the verifier's trust argument
 //! are in `docs/CERTIFICATES.md`.
 //!
+//! The producer is the explorer itself: [`certify`] runs the sequential,
+//! unreduced generation walk behind [`crate::exhaustive::explore_with`] with
+//! an edge hook that records every probed transition, so `wb-verify` checks
+//! the very expander every explore verdict comes from. The accompanying
+//! [`CertifiedExploration::report`] is that walk's report — its
+//! `peak_frontier` is the real frontier high-water mark — and witnesses
+//! follow the walk's discovery order, which is the order of an explore
+//! report's `witnesses`.
+//!
 //! A certificate names every distinct configuration by its 128-bit canonical
 //! fingerprint ([`wb_math::hash::Digest128`] over the canonical encoding)
 //! and records:
@@ -43,9 +52,12 @@
 //! to certify.
 
 use crate::engine::{Engine, Outcome};
-use crate::exhaustive::{DedupPolicy, ExplorationReport, ExploreConfig, ScheduleFailure};
+use crate::exhaustive::{
+    explore_sequential, DedupPolicy, ExplorationReport, ExploreConfig, ReductionPolicy,
+};
 use crate::model::Model;
 use crate::protocol::Protocol;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt::Debug;
 use wb_graph::{Graph, NodeId};
@@ -270,9 +282,9 @@ impl ExplorationCertificate {
 pub struct CertifiedExploration<O> {
     /// The serialized-form proof.
     pub certificate: ExplorationCertificate,
-    /// Report equivalent to what [`crate::exhaustive::explore`] returns on
-    /// the same run (`peak_frontier` is 0: the certifying walk is
-    /// depth-first and has no frontier).
+    /// The report of the explorer's sequential walk that produced the
+    /// certificate — what [`crate::exhaustive::explore_with`] returns on the
+    /// same run with reduction off, `peak_frontier` included.
     pub report: ExplorationReport<O>,
 }
 
@@ -297,10 +309,17 @@ pub struct CertificateScenario<'a> {
 /// mismatch). With `config.faults` set to a non-inert plan, the walk also
 /// branches over which scheduled writes die, up to the plan's budget.
 ///
+/// The walk is the explorer's own sequential, unreduced generation walk:
+/// every probed transition becomes an edge, every terminal is recorded at
+/// its discovery, and each failure's hash trace is rebuilt by replaying its
+/// schedule — so the certificate checks the code explore verdicts come
+/// from, and witnesses come in the explorer's discovery order.
+///
 /// Errors instead of truncating: a partial walk proves nothing, so
 /// exceeding `config.max_states` is an error, and [`DedupPolicy::Off`] is
 /// refused outright (see the module docs on the soundness boundary).
-/// `config.max_frontier` is ignored — the certifying walk is depth-first.
+/// `config.max_frontier` is ignored — the frontier is unbounded — and
+/// `config.reduction` is recorded as provenance only.
 pub fn certify<P, C>(
     protocol: &P,
     g: &Graph,
@@ -322,54 +341,74 @@ where
         );
     }
 
-    let mut engine = Engine::new(protocol, g);
-    engine.activation_phase();
-    let initial = engine.canonical_fingerprint().as_u128();
+    let mut root = Engine::new(protocol, g);
+    root.activation_phase();
+    let initial = root.canonical_fingerprint().as_u128();
 
-    let mut walk = Walk {
-        check: &check,
-        fault_budget: config.fault_budget(),
-        seen: HashSet::from([initial]),
-        max_states: config.max_states,
-        overflow: false,
-        edges: Vec::new(),
-        terminals: Vec::new(),
-        witnesses: Vec::new(),
-        outcomes: Vec::new(),
-        failures: Vec::new(),
-        merged: 0,
-        path: Vec::new(),
-        trace: Vec::new(),
+    let walk = ExploreConfig {
+        max_frontier: usize::MAX,
+        reduction: ReductionPolicy::Off,
+        ..config.clone()
     };
-
-    if engine.has_active() {
-        walk.expand(&mut engine, initial);
-    } else {
-        walk.terminal(&engine, initial);
-    }
-    if walk.overflow {
+    // Every probed edge, and each terminal at its first probe — the moment
+    // the explorer judges it, so the hashes line up with the verdicts.
+    let (mut edges, mut found) = (Vec::new(), Vec::new());
+    let mut seen_terminals = HashSet::new();
+    let mut hook = |from, writer, crash, child: &Engine<'_, P>| {
+        let to = child.canonical_fingerprint().as_u128();
+        edges.push(CertificateEdge {
+            from,
+            writer,
+            crash,
+            to,
+        });
+        if !child.has_active() && seen_terminals.insert(to) {
+            found.push(to);
+        }
+    };
+    let verdicts = RefCell::new(Vec::new());
+    let judge = |outcome: &Outcome<P::Output>, died: &[NodeId]| {
+        let verdict = check(outcome, died);
+        verdicts.borrow_mut().push(verdict);
+        verdict
+    };
+    let report = explore_sequential(protocol, g, &walk, &judge, Some(&mut hook));
+    if report.truncated {
         return Err(format!(
             "exploration exceeded max_states = {}: a truncated walk cannot be certified",
             config.max_states
         ));
     }
-
-    let report = ExplorationReport {
-        distinct_states: walk.seen.len() as u64,
-        terminals: walk.terminals.len() as u64,
-        merged: walk.merged,
-        truncated: false,
-        peak_frontier: 0,
-        outcomes: walk.outcomes,
-        failures: walk.failures,
-        // The certifying walk never reduces (every edge must be present for
-        // the verifier), so there are no reduction stats to report.
-        reduction: None,
-    };
-    let mut edges = walk.edges;
-    edges.sort_unstable();
-    let mut terminals = walk.terminals;
+    if edges.is_empty() {
+        found.push(initial); // a terminal root is the only terminal
+    }
+    debug_assert_eq!(
+        found.len(),
+        report.outcomes.len(),
+        "one hash per judged terminal"
+    );
+    let mut terminals: Vec<CertificateTerminal> = found
+        .into_iter()
+        .zip(verdicts.into_inner())
+        .zip(&report.outcomes)
+        .map(|((config, verdict), outcome)| CertificateTerminal {
+            config,
+            verdict,
+            outcome: format!("{outcome:?}"),
+        })
+        .collect();
     terminals.sort_by_key(|t| t.config);
+    let witnesses = report
+        .failures
+        .iter()
+        .map(|f| CertificateWitness {
+            schedule: f.schedule.clone(),
+            trace: replay_trace(protocol, g, &f.schedule, &f.died),
+            died: f.died.clone(),
+            outcome: format!("{:?}", f.outcome),
+        })
+        .collect();
+    edges.sort_unstable();
     let certificate = ExplorationCertificate {
         protocol: scenario.protocol.to_string(),
         model: protocol.model(),
@@ -378,12 +417,11 @@ where
         family: scenario.family.map(str::to_string),
         seed: scenario.seed,
         faults: config.faults.filter(|p| !p.is_inert()).map(|p| p.spec()),
-        reduction: (config.reduction != crate::exhaustive::ReductionPolicy::Off)
-            .then(|| config.reduction.to_string()),
+        reduction: (config.reduction != ReductionPolicy::Off).then(|| config.reduction.to_string()),
         initial,
         edges,
         terminals,
-        witnesses: walk.witnesses,
+        witnesses,
         states: report.distinct_states,
     };
     Ok(CertifiedExploration {
@@ -392,112 +430,28 @@ where
     })
 }
 
-/// The certifying depth-first walk: one engine, undo-log branching, dedup by
-/// canonical fingerprint, recording every edge and the current path/trace so
-/// failing terminals come out as witnesses.
-struct Walk<'c, O, C> {
-    check: &'c C,
-    fault_budget: usize,
-    seen: HashSet<u128>,
-    max_states: u64,
-    overflow: bool,
-    edges: Vec<CertificateEdge>,
-    terminals: Vec<CertificateTerminal>,
-    witnesses: Vec<CertificateWitness>,
-    outcomes: Vec<Outcome<O>>,
-    failures: Vec<ScheduleFailure<O>>,
-    merged: u64,
-    path: Vec<NodeId>,
-    trace: Vec<u128>,
-}
-
-impl<O: Clone + Debug, C: Fn(&Outcome<O>, &[NodeId]) -> bool> Walk<'_, O, C> {
-    fn terminal<P: Protocol<Output = O>>(&mut self, engine: &Engine<'_, P>, hash: u128) {
-        let run = engine.report();
-        let verdict = (self.check)(&run.outcome, &run.crashed);
-        self.terminals.push(CertificateTerminal {
-            config: hash,
-            verdict,
-            outcome: format!("{:?}", run.outcome),
-        });
-        if !verdict {
-            self.witnesses.push(CertificateWitness {
-                schedule: self.path.clone(),
-                trace: self.trace.clone(),
-                died: run.crashed.clone(),
-                outcome: format!("{:?}", run.outcome),
-            });
-            self.failures.push(ScheduleFailure {
-                schedule: run.write_order,
-                died: run.crashed,
-                outcome: run.outcome.clone(),
-            });
-        }
-        self.outcomes.push(run.outcome);
-    }
-
-    /// Record one edge and recurse into its target if unseen. The caller has
-    /// already applied the step (survive or crash) and must undo it after.
-    fn record<P: Protocol<Output = O>>(
-        &mut self,
-        engine: &mut Engine<'_, P>,
-        from: u128,
-        pick: NodeId,
-        crash: bool,
-        to: u128,
-    ) {
-        self.edges.push(CertificateEdge {
-            from,
-            writer: pick,
-            crash,
-            to,
-        });
-        if self.seen.insert(to) {
-            if self.seen.len() as u64 > self.max_states {
-                self.overflow = true;
-            } else {
-                self.path.push(pick);
-                self.trace.push(to);
-                if engine.has_active() {
-                    self.expand(engine, to);
-                } else {
-                    self.terminal(engine, to);
-                }
-                self.path.pop();
-                self.trace.pop();
-            }
-        } else {
-            self.merged += 1;
-        }
-    }
-
-    fn expand<P: Protocol<Output = O>>(&mut self, engine: &mut Engine<'_, P>, from: u128) {
-        for pick in 1..=engine.node_count() as NodeId {
-            if self.overflow {
-                return;
-            }
-            if !engine.is_active(pick) {
-                continue;
-            }
-            let token = engine.step_token();
-            engine.step(pick);
-            engine.activation_phase();
-            let to = engine.canonical_fingerprint().as_u128();
-            self.record(engine, from, pick, false, to);
-            engine.undo(token);
-            if self.overflow {
-                return;
-            }
-            if engine.crashed_count() < self.fault_budget {
-                let token = engine.step_token();
+/// The configuration hash after each pick of one fixed schedule, with the
+/// picks in `died` replayed as crashed writes: a witness's `trace`.
+fn replay_trace<P: Protocol>(
+    protocol: &P,
+    g: &Graph,
+    schedule: &[NodeId],
+    died: &[NodeId],
+) -> Vec<u128> {
+    let mut engine = Engine::new(protocol, g);
+    engine.activation_phase();
+    schedule
+        .iter()
+        .map(|&pick| {
+            if died.contains(&pick) {
                 engine.step_crash(pick);
-                engine.activation_phase();
-                let to = engine.canonical_fingerprint().as_u128();
-                self.record(engine, from, pick, true, to);
-                engine.undo(token);
+            } else {
+                engine.step(pick);
             }
-        }
-    }
+            engine.activation_phase();
+            engine.canonical_fingerprint().as_u128()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -566,6 +520,41 @@ mod tests {
             .filter(|t| !t.verdict)
             .count();
         assert_eq!(failing, certified.certificate.witnesses.len());
+    }
+
+    #[test]
+    fn witnesses_follow_the_explorer_discovery_order() {
+        use crate::exhaustive::explore_with;
+        let g = generators::path(3);
+        let config = ExploreConfig::default();
+        let certified = certify(&EchoId, &g, &scenario(), &config, |_, _| false).unwrap();
+        let explored = explore_with(&EchoId, &g, &config, |_, _| false);
+        let witnessed: Vec<&[NodeId]> = certified
+            .certificate
+            .witnesses
+            .iter()
+            .map(|w| &w.schedule[..])
+            .collect();
+        let failed: Vec<&[NodeId]> = explored.failures.iter().map(|f| &f.schedule[..]).collect();
+        assert_eq!(witnessed, failed);
+        assert!(certified.report.peak_frontier > 0);
+        assert_eq!(certified.report.peak_frontier, explored.peak_frontier);
+    }
+
+    #[test]
+    fn frontier_cap_is_ignored() {
+        let g = generators::clique(4);
+        let capped = ExploreConfig::default().with_max_frontier(1);
+        let certified = certify(&EchoId, &g, &scenario(), &capped, |_, _| true).unwrap();
+        let plain = certify(
+            &EchoId,
+            &g,
+            &scenario(),
+            &ExploreConfig::default(),
+            |_, _| true,
+        )
+        .unwrap();
+        assert_eq!(certified.certificate, plain.certificate);
     }
 
     #[test]

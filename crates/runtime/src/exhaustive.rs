@@ -24,7 +24,8 @@
 //!   instead of `n!` paths for a write-order-oblivious protocol). The result
 //!   is a structured [`ExplorationReport`] — schedules, distinct states,
 //!   dedup ratio, cap status, and a witness schedule per failure — never a
-//!   panic mid-walk.
+//!   panic mid-walk. Certificates ([`crate::certificate::certify`]) are
+//!   read off the same sequential walk through an edge hook.
 //! - The **naive recursive DFS** ([`for_each_schedule`]) — walks all leaves
 //!   of the schedule tree on a single engine via step → recurse → undo. It
 //!   scales factorially but assumes nothing about the protocol, so it is the
@@ -878,6 +879,13 @@ where
     }
 }
 
+/// Observer of every child the sequential walk probes, merged ones
+/// included: `(from, writer, crash, child)`, with the parent's canonical
+/// fingerprint and the child engine right after its probe (undelivered on
+/// simultaneous models, whose canonical encoding is already final).
+/// [`crate::certificate::certify`] reads its DAG off the walk this way.
+pub(crate) type EdgeHook<'h, P> = dyn FnMut(u128, NodeId, bool, &Engine<'_, P>) + 'h;
+
 /// Expand one configuration clone-free: for every active pick, open a
 /// savepoint, step + run the next activation phase, probe the seen-set, and
 /// undo. Each pick yields a surviving-write child and, while the fault
@@ -893,13 +901,15 @@ where
 /// mutates private node state — so merged and terminal children skip the
 /// whole observation fan-out, and only surviving interior children pay for
 /// delivery. Free models observe before the activation phase as usual. A
-/// crashed write leaves no board entry, so it never needs delivery.
+/// crashed write leaves no board entry, so it never needs delivery. `hook`
+/// sees every probed child (see [`EdgeHook`]).
 fn expand_into<'a, P, S, V>(
     pending: Pending<'a, P>,
     f: usize,
     seen: &S,
     progress: &Progress,
     red: &Reduction,
+    mut hook: Option<&mut EdgeHook<'_, P>>,
     visit: &mut V,
 ) where
     P: Protocol,
@@ -930,6 +940,9 @@ fn expand_into<'a, P, S, V>(
     };
     let simultaneous = engine.is_simultaneous();
     let can_crash = engine.crashed_count() < f;
+    let from = hook
+        .as_ref()
+        .map_or(0, |_| engine.canonical_fingerprint().as_u128());
     let n_children = if can_crash { 2 * n_allowed } else { n_allowed };
     // Picks expanded so far this round, as a mask: a later pick's child may
     // sleep on them exactly when they are independent of it. A sleeping
@@ -982,7 +995,11 @@ fn expand_into<'a, P, S, V>(
             };
             // A new terminal is reported undelivered: its report reads only
             // board + write order.
-            let restrict = match progress.record(seen.probe(&engine, red, child_sleep)) {
+            let admit = progress.record(seen.probe(&engine, red, child_sleep));
+            if let Some(hook) = hook.as_deref_mut() {
+                hook(from, pick, crash, &engine);
+            }
+            let restrict = match admit {
                 Admit::Expand if !engine.has_active() => {
                     emit_leaf(&engine, red, progress, visit);
                     None
@@ -1061,6 +1078,23 @@ where
     P::Output: Clone,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
 {
+    explore_sequential(protocol, g, config, &check, None)
+}
+
+/// The sequential walk behind [`explore_with`], reporting every probed
+/// transition to `hook` (see [`EdgeHook`]).
+pub(crate) fn explore_sequential<P, C>(
+    protocol: &P,
+    g: &Graph,
+    config: &ExploreConfig,
+    check: &C,
+    mut hook: Option<&mut EdgeHook<'_, P>>,
+) -> ExplorationReport<P::Output>
+where
+    P: Protocol,
+    P::Output: Clone,
+    C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
+{
     let red = Reduction::build(protocol, g, config);
     let seen = LocalSeen::new(config.dedup, red.indep.is_some());
     let f = config.fault_budget();
@@ -1068,7 +1102,7 @@ where
         protocol,
         g,
         config,
-        &check,
+        check,
         &seen,
         &red,
         |frontier, seen, progress, red, report, check_leaf, max_frontier| {
@@ -1087,7 +1121,15 @@ where
                         }
                     }
                 };
-                expand_into(pending, f, seen, progress, red, &mut visit);
+                expand_into(
+                    pending,
+                    f,
+                    seen,
+                    progress,
+                    red,
+                    hook.as_deref_mut(),
+                    &mut visit,
+                );
                 if overflow {
                     report.truncated = true;
                     break;
@@ -1152,7 +1194,7 @@ where
                     Child::Leaf(run) => exp.leaves.push(run),
                     Child::Interior(pending) => exp.interior.push(pending),
                 };
-                expand_into(p, f, seen, progress, red, &mut visit);
+                expand_into(p, f, seen, progress, red, None, &mut visit);
                 exp
             });
             let mut next: Vec<Pending<P>> = Vec::new();
@@ -1180,14 +1222,14 @@ fn explore_impl<'a, P, C, S, F>(
     check: &C,
     seen: &S,
     red: &Reduction,
-    run_generation: F,
+    mut run_generation: F,
 ) -> ExplorationReport<P::Output>
 where
     P: Protocol,
     P::Output: Clone,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
     S: SeenProbe,
-    F: for<'s> Fn(
+    F: for<'s> FnMut(
         Vec<Pending<'a, P>>,
         &'s S,
         &'s Progress,

@@ -30,9 +30,9 @@
 //!   execution tier (see `docs/FAULTS.md`);
 //! - [`adapt`] — the Lemma 4 inclusions as executable wrappers: any protocol of
 //!   a weaker model runs unchanged (same outputs) in every stronger model;
-//! - [`certificate`] — machine-checkable exploration certificates: a
-//!   certifying DFS walk that serializes the distinct-configuration DAG,
-//!   terminal verdicts, and counterexample witnesses for independent
+//! - [`certificate`] — machine-checkable exploration certificates: the
+//!   explorer's sequential walk, serialized as the distinct-configuration
+//!   DAG, terminal verdicts, and counterexample witnesses for independent
 //!   re-checking by the tiny `wb-verify` crate (`docs/CERTIFICATES.md`);
 //! - [`bulk`] — the bulk tier: columnar execution of simultaneous protocols
 //!   with a sharded board and parallel round batches, for single runs at

@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 use wb_bench::json::Json;
 use wb_core::registry::{self, BoundOracle, BulkVisitor, ProtocolVisitor};
 use wb_graph::{Graph, NodeId};
-use wb_runtime::adapt::Promote;
 use wb_runtime::bulk::{
     bulk_model, run_bulk, run_bulk_crashed, shuffled_schedule, BulkConfig, BulkProtocol,
 };
@@ -255,6 +254,7 @@ pub fn explore_config(spec: &JobSpec) -> Result<ExploreConfig, String> {
 fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
     let g = wb_core::workload::graph_family(&spec.workload, spec.n, spec.seed)?;
     let config = explore_config(spec)?;
+    let target = parse_model(&spec.model)?;
 
     struct ExploreJob<'a> {
         spec: &'a JobSpec,
@@ -292,6 +292,11 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
             obj.insert("workload".into(), Json::Str(spec.workload.clone()));
             obj.insert("n".into(), Json::Num(g.n() as f64));
             obj.insert("dedup".into(), Json::Str(spec.dedup.clone()));
+            // Present only under a `--model` override: native reports keep
+            // their bytes.
+            if spec.model != "native" {
+                obj.insert("model".into(), Json::Str(protocol.model().to_string()));
+            }
             obj.insert("par".into(), Json::Bool(spec.par));
             obj.insert(
                 "distinct_states".into(),
@@ -382,9 +387,10 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
         }
     }
 
-    registry::dispatch(
+    registry::dispatch_at(
         &spec.protocol,
         spec.n,
+        target,
         ExploreJob {
             spec,
             g: &g,
@@ -400,34 +406,6 @@ fn run_campaign_job(spec: &JobSpec) -> Result<JobReport, String> {
     struct CampaignJob<'a> {
         spec: &'a JobSpec,
         g: &'a Graph,
-        target: Option<Model>,
-    }
-
-    fn drive_native<P, C>(spec: &JobSpec, g: &Graph, p: &P, pred: C) -> Result<JobReport, String>
-    where
-        P: Protocol + Sync,
-        P::Output: std::fmt::Debug,
-        C: Fn(&Outcome<P::Output>, &[wb_graph::NodeId]) -> bool + Sync,
-    {
-        let sampler = SamplerKind::parse(&spec.sampler)?;
-        let mut config = CampaignConfig::default()
-            .with_trials(spec.trials)
-            .with_seed(spec.seed)
-            .with_sampler(sampler)
-            .with_faults(parse_faults(spec.faults.as_deref())?);
-        if let Some(batch) = spec.batch {
-            config = config.with_batch(batch);
-        }
-        let labels = CampaignLabels {
-            protocol: spec.protocol.clone(),
-            model: p.model().to_string(),
-            family: spec.workload.clone(),
-        };
-        let report = run_campaign_with(p, g, &config, &labels, &pred);
-        Ok(JobReport {
-            verdict: report.verdict().into(),
-            json: report.to_json(),
-        })
     }
 
     impl ProtocolVisitor for CampaignJob<'_> {
@@ -442,31 +420,29 @@ fn run_campaign_job(spec: &JobSpec) -> Result<JobReport, String> {
             let (spec, g) = (self.spec, self.g);
             let oracle = bind(g);
             let pred = |out: &Outcome<P::Output>, died: &[wb_graph::NodeId]| oracle(out, died);
-            match self.target {
-                Some(m) if m != protocol.model() => {
-                    if !m.includes(protocol.model()) {
-                        return Err(format!(
-                            "cannot demote {} protocol '{}' to {m}",
-                            protocol.model(),
-                            spec.protocol
-                        ));
-                    }
-                    drive_native(spec, g, &Promote::new(protocol, m), pred)
-                }
-                _ => drive_native(spec, g, &protocol, pred),
+            let sampler = SamplerKind::parse(&spec.sampler)?;
+            let mut config = CampaignConfig::default()
+                .with_trials(spec.trials)
+                .with_seed(spec.seed)
+                .with_sampler(sampler)
+                .with_faults(parse_faults(spec.faults.as_deref())?);
+            if let Some(batch) = spec.batch {
+                config = config.with_batch(batch);
             }
+            let labels = CampaignLabels {
+                protocol: spec.protocol.clone(),
+                model: protocol.model().to_string(),
+                family: spec.workload.clone(),
+            };
+            let report = run_campaign_with(&protocol, g, &config, &labels, &pred);
+            Ok(JobReport {
+                verdict: report.verdict().into(),
+                json: report.to_json(),
+            })
         }
     }
 
-    registry::dispatch(
-        &spec.protocol,
-        spec.n,
-        CampaignJob {
-            spec,
-            g: &g,
-            target,
-        },
-    )?
+    registry::dispatch_at(&spec.protocol, spec.n, target, CampaignJob { spec, g: &g })?
 }
 
 fn run_bulk_job(spec: &JobSpec) -> Result<JobReport, String> {

@@ -27,7 +27,6 @@ use wb_core::registry::{self, BoundOracle, ProtocolVisitor};
 use wb_core::workload::graph_family;
 use wb_core::AsyncBipartiteBfs;
 use wb_graph::Graph;
-use wb_runtime::adapt::Promote;
 use wb_runtime::{Model, Protocol};
 use wb_sim::{run_campaign, shrink_schedule, CampaignConfig, CampaignLabels, SamplerKind};
 
@@ -70,24 +69,28 @@ impl Row {
 }
 
 /// Registry visitor for one campaign row: resolves the protocol *and* its
-/// oracle from `wb_core::registry` (no local oracle table to drift),
-/// optionally promotes to a stronger model, and measures throughput.
+/// oracle from `wb_core::registry` (no local oracle table to drift), under
+/// the row's model (promoted by `registry::dispatch_at`), and measures
+/// throughput.
 struct Measure<'a> {
     label: &'a str,
     family: &'a str,
     n: usize,
     trials: u64,
     sampler: SamplerKind,
-    /// `Some(m)`: run under the Lemma 4 promotion to `m`.
-    target: Option<Model>,
 }
 
-impl Measure<'_> {
-    fn drive<P>(&self, p: &P, g: &Graph, oracle: &BoundOracle<'_, P::Output>) -> Row
+impl ProtocolVisitor for Measure<'_> {
+    type Result = Row;
+    fn visit<P, B>(self, p: P, bind: B) -> Row
     where
-        P: Protocol + Sync,
-        P::Output: std::fmt::Debug,
+        P: Protocol + Clone + Send + Sync,
+        P::Node: Send + Sync,
+        P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        B: for<'g> Fn(&'g Graph) -> BoundOracle<'g, P::Output> + Send + Sync,
     {
+        let g = graph_family(self.family, self.n, 1).expect("known family");
+        let oracle = bind(&g);
         let labels = CampaignLabels {
             protocol: self.label.into(),
             model: p.model().to_string(),
@@ -98,7 +101,7 @@ impl Measure<'_> {
             .with_seed(0xC0FFEE)
             .with_sampler(self.sampler);
         let start = Instant::now();
-        let report = run_campaign(p, g, &config, &labels, |o| oracle(o, &[]));
+        let report = run_campaign(&p, &g, &config, &labels, |o| oracle(o, &[]));
         let wall_sec = start.elapsed().as_secs_f64();
         assert_eq!(
             report.failed, 0,
@@ -119,24 +122,6 @@ impl Measure<'_> {
     }
 }
 
-impl ProtocolVisitor for Measure<'_> {
-    type Result = Row;
-    fn visit<P, B>(self, protocol: P, bind: B) -> Row
-    where
-        P: Protocol + Clone + Send + Sync,
-        P::Node: Send + Sync,
-        P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-        B: for<'g> Fn(&'g Graph) -> BoundOracle<'g, P::Output> + Send + Sync,
-    {
-        let g = graph_family(self.family, self.n, 1).expect("known family");
-        let oracle = bind(&g);
-        match self.target {
-            Some(m) => self.drive(&Promote::new(protocol, m), &g, &oracle),
-            None => self.drive(&protocol, &g, &oracle),
-        }
-    }
-}
-
 fn measure_one(
     spec: &str,
     label: &str,
@@ -146,19 +131,19 @@ fn measure_one(
     sampler: SamplerKind,
     target: Option<Model>,
 ) -> Row {
-    registry::dispatch(
+    registry::dispatch_at(
         spec,
         n,
+        target,
         Measure {
             label,
             family,
             n,
             trials,
             sampler,
-            target,
         },
     )
-    .expect("registered protocol")
+    .expect("registered protocol at a model it can be promoted to")
 }
 
 fn measure_rows(quick: bool) -> Vec<Row> {

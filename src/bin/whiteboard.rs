@@ -660,7 +660,7 @@ fn cmd_tier(kind: JobKind, o: &Opts) -> Result<(), String> {
             refuse_unshrinkable(o, &spec)?;
         }
         if let (JobKind::Explore, Some(path)) = (kind, &o.certify) {
-            let run = certify(&spec, None)?;
+            let run = certify(&spec)?;
             std::fs::write(path, run.certificate.to_json_line() + "\n")
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!(
@@ -869,16 +869,13 @@ fn print_bulk(r: &Json, wall_sec: f64) {
 }
 
 /// One certified exhaustive walk of `spec`'s protocol on its workload
-/// instance, under `model` (`None` = the protocol's native model).
-fn certify(
-    spec: &JobSpec,
-    model: Option<Model>,
-) -> Result<wb_bench::certify::CertifiedRun, String> {
+/// instance, under the spec's model.
+fn certify(spec: &JobSpec) -> Result<wb_bench::certify::CertifiedRun, String> {
     let g = graph_family(&spec.workload, spec.n, spec.seed)?;
     wb_bench::certify::certify_spec(
         &spec.protocol,
         &g,
-        model,
+        parse_model(&spec.model)?,
         wb_bench::certify::Provenance {
             family: Some(&spec.workload),
             seed: Some(spec.seed),
@@ -892,11 +889,10 @@ fn certify(
 /// JSON line to `--out PATH` (or stdout). Run summaries go to stderr so
 /// stdout stays pure JSONL. See `docs/CERTIFICATES.md`.
 fn cmd_certify(o: &Opts) -> Result<(), String> {
-    let model = parse_model(&o.model)?;
     let ns = o.ns_or(100);
     let mut lines = String::new();
     for &n in &ns {
-        let run = certify(&job_spec_from_opts(JobKind::Explore, o, n), model)?;
+        let run = certify(&job_spec_from_opts(JobKind::Explore, o, n))?;
         eprintln!(
             "certified {} on {} (n = {}, {}): {} states, {} terminals, {} failing",
             o.protocol,
@@ -1002,13 +998,13 @@ fn shrink_first_witness(o: &Opts, spec: &JobSpec, report: &mut Json) -> Result<(
         return Ok(());
     };
     let g = graph_family(&spec.workload, spec.n, spec.seed)?;
-    let shrunk = registry::dispatch(
+    let shrunk = registry::dispatch_at(
         &spec.protocol,
         spec.n,
+        parse_model(&spec.model)?,
         ShrinkOne {
             g: &g,
             protocol: &spec.protocol,
-            target: parse_model(&spec.model)?,
             witness,
             out: o.shrink_out.as_deref(),
         },
@@ -1027,7 +1023,6 @@ fn shrink_first_witness(o: &Opts, spec: &JobSpec, report: &mut Json) -> Result<(
 struct ShrinkOne<'a> {
     g: &'a Graph,
     protocol: &'a str,
-    target: Option<Model>,
     witness: Vec<NodeId>,
     out: Option<&'a str>,
 }
@@ -1042,12 +1037,7 @@ impl registry::ProtocolVisitor for ShrinkOne<'_> {
         B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
     {
         let oracle = bind(self.g);
-        let fails = |out: &Outcome<P::Output>| !oracle(out, &[]);
-        match self.target {
-            // `run_job` has already refused demotions.
-            Some(m) if m != protocol.model() => self.shrink(&Promote::new(protocol, m), fails),
-            _ => self.shrink(&protocol, fails),
-        }
+        self.shrink(&protocol, |out: &Outcome<P::Output>| !oracle(out, &[]))
     }
 }
 

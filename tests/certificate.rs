@@ -12,8 +12,9 @@
 use wb_bench::certify::{certify_spec, CertifiedRun, Provenance};
 use wb_core::registry::{self, BoundOracle, ProtocolVisitor, PROTOCOLS};
 use wb_graph::{generators, Graph};
+use wb_math::json::Json;
 use wb_runtime::certificate::CertificateEdge;
-use wb_runtime::{Engine, ExploreConfig, FaultPlan, Protocol};
+use wb_runtime::{Engine, ExploreConfig, FaultPlan, Model, Protocol};
 use wb_verify::{machine::Machine, verify_line, VerifyError};
 
 /// Certify `spec` on `g` under its native model.
@@ -471,4 +472,100 @@ fn wrong_format_version_is_rejected() {
         ),
         "forged version tag must be rejected, got {err}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Byte-stability golden: certificates are pinned byte for byte, so a change
+// to the producing walk that alters any edge, terminal, witness or digest
+// shows up as a diff against `tests/golden/certificates.jsonl`.
+// ---------------------------------------------------------------------------
+
+/// The four pinned certificates, one `certify_spec` call each: a plain
+/// PASS, a crash-branching PASS with workload provenance, a promoted run,
+/// and a witness-bearing FAIL.
+fn golden_certificates() -> Vec<String> {
+    let plain = ExploreConfig::default();
+    let crash = ExploreConfig::default().with_faults(Some(FaultPlan::crash_stop(1)));
+    let runs = [
+        (
+            "mis:1",
+            generators::cycle(6),
+            None,
+            Provenance::default(),
+            &plain,
+        ),
+        (
+            "build:2",
+            generators::path(5),
+            None,
+            Provenance {
+                family: Some("path"),
+                seed: Some(7),
+            },
+            &crash,
+        ),
+        (
+            "mis:1",
+            generators::path(5),
+            Some(Model::Async),
+            Provenance::default(),
+            &plain,
+        ),
+        (
+            "async-bipartite-bfs",
+            triangle_tail(),
+            None,
+            Provenance::default(),
+            &plain,
+        ),
+    ];
+    runs.into_iter()
+        .map(|(spec, g, model, provenance, config)| {
+            certify_spec(spec, &g, model, provenance, config)
+                .unwrap_or_else(|e| panic!("{spec} must certify: {e}"))
+                .certificate
+                .to_json_line()
+        })
+        .collect()
+}
+
+#[test]
+fn certificates_match_the_golden_byte_for_byte() {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/certificates.jsonl");
+    let golden = std::fs::read_to_string(&path).expect(
+        "golden file checked in (regen: cargo test --test certificate -- --ignored regen_certificate_golden)",
+    );
+    let golden: Vec<&str> = golden.lines().collect();
+    let fresh = golden_certificates();
+    assert_eq!(fresh.len(), golden.len(), "golden certificate count");
+    for (i, (fresh, golden)) in fresh.iter().zip(&golden).enumerate() {
+        assert_eq!(
+            fresh,
+            golden,
+            "certificate {} drifted from the golden",
+            i + 1
+        );
+    }
+    assert!(
+        !Json::parse(golden[3])
+            .unwrap()
+            .get("witnesses")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .is_empty(),
+        "the fourth golden certificate must carry a witness"
+    );
+}
+
+/// Rewrite the golden file. Ignored by default; run explicitly when the
+/// certificate format changes intentionally.
+#[test]
+#[ignore = "rewrites tests/golden; run explicitly"]
+fn regen_certificate_golden() {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/certificates.jsonl");
+    let mut text = golden_certificates().join("\n");
+    text.push('\n');
+    std::fs::write(path, text).unwrap();
 }

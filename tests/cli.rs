@@ -1203,3 +1203,100 @@ fn explore_certify_flag_emits_a_verifiable_certificate() {
     let _ = std::fs::remove_file(&cert_path);
     let _ = std::fs::remove_file(&graph_path);
 }
+
+#[test]
+fn explore_honours_model_and_matches_certify() {
+    // ASYNC runs MIS(1) as the sequential-activation chain: one schedule,
+    // six configurations — the walk `certify --model async` certifies.
+    let args = [
+        "--protocol",
+        "mis:1",
+        "--workload",
+        "path",
+        "--n",
+        "5",
+        "--model",
+        "async",
+    ];
+    let (ok, out) = whiteboard_stdout(&[&["explore"], &args[..], &["--json"]].concat());
+    assert!(ok, "{out}");
+    let doc = wb_bench::json::Json::parse(out.trim()).expect("valid JSON");
+    assert_eq!(doc.get("model").and_then(|m| m.as_str()), Some("ASYNC"));
+    let count = |key: &str| doc.get(key).and_then(|v| v.as_f64()).unwrap() as u64;
+    assert_eq!(
+        (count("distinct_states"), count("terminals")),
+        (6, 1),
+        "{out}"
+    );
+    let (ok, out) = whiteboard(&[&["certify"], &args[..]].concat());
+    assert!(ok, "{out}");
+    assert!(out.contains("ASYNC): 6 states, 1 terminals"), "{out}");
+    // Native reports carry no "model" key.
+    let (ok, out) = whiteboard_stdout(&[&["explore"], &args[..6], &["--json"]].concat());
+    assert!(ok, "{out}");
+    assert!(!out.contains("\"model\""), "{out}");
+}
+
+#[test]
+fn explore_refuses_demotions_and_unknown_models() {
+    let (ok, out) = whiteboard(&["explore", "--protocol", "bfs", "--model", "simasync"]);
+    assert!(!ok, "{out}");
+    assert!(
+        out.contains("cannot demote SYNC protocol 'bfs' to SIMASYNC"),
+        "{out}"
+    );
+    let (ok, out) = whiteboard(&["explore", "--protocol", "mis:1", "--model", "bogus"]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("unknown model"), "{out}");
+}
+
+#[test]
+fn explore_certificate_names_the_report_witnesses() {
+    // Certificate and report come from one walk, so the certificate's
+    // first witnesses are the report's, in the same order.
+    let dir = std::env::temp_dir().join(format!("wb_cli_witness_order_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("ablation.txt");
+    std::fs::write(&graph_path, "5\n1 2\n2 3\n1 3\n3 4\n4 5\n").unwrap();
+    let cert_path = dir.join("abl.cert");
+    let family = format!("file:{}", graph_path.display());
+    for faults in [None, Some("crash:1")] {
+        let mut args = vec![
+            "explore",
+            "--protocol",
+            "async-bipartite-bfs",
+            "--workload",
+            &family,
+            "--n",
+            "5",
+            "--certify",
+            cert_path.to_str().unwrap(),
+            "--json",
+        ];
+        if let Some(plan) = faults {
+            args.extend(["--faults", plan]);
+        }
+        let (ok, out) = whiteboard_stdout(&args);
+        assert!(!ok, "{faults:?}: the ablation graph deadlocks: {out}");
+        let report = wb_bench::json::Json::parse(out.trim()).expect("valid JSON");
+        let cert = std::fs::read_to_string(&cert_path).unwrap();
+        let cert = wb_bench::json::Json::parse(cert.trim()).expect("valid certificate");
+        let named = |doc: &wb_bench::json::Json| -> Vec<(String, Option<String>)> {
+            let witnesses = doc.get("witnesses").and_then(|w| w.as_arr()).unwrap();
+            witnesses
+                .iter()
+                .take(5)
+                .map(|w| {
+                    (
+                        w.get("schedule").unwrap().to_string(),
+                        w.get("died").map(|d| d.to_string()),
+                    )
+                })
+                .collect()
+        };
+        let from_report = named(&report);
+        assert!(!from_report.is_empty(), "{faults:?}: {out}");
+        assert_eq!(named(&cert), from_report, "{faults:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -531,7 +531,7 @@ fn certification_refuses_the_unsound_dedup_escape_hatch() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash branching: the explorer against the certifying DFS under live plans.
+// Crash branching: the explorer against wb-verify's replay under live plans.
 // ---------------------------------------------------------------------------
 
 /// Sorted `Debug` renderings of a report's terminal outcomes (a multiset).
@@ -541,15 +541,25 @@ fn outcome_multiset<O: Debug>(report: &ExplorationReport<O>) -> Vec<String> {
     all
 }
 
-/// The explorer's sequential and parallel walks must match the certifying
-/// DFS — an independent walker with its own crash branching — on states,
-/// terminals, merges and the outcome multiset under `config`'s fault plan.
-fn assert_walkers_agree_under_faults<P>(p: &P, g: &Graph, config: &ExploreConfig, label: &str)
-where
+/// The explorer's sequential and parallel walks must match the certificate
+/// producer on states, terminals, merges and the outcome multiset under
+/// `config`'s fault plan. The producer reads the explorer's own walk, so
+/// the independent reference is `wb-verify`: the registry certificate of
+/// `spec` promoted to `target` must pass its replay machine, which
+/// re-derives every crash edge itself, and agree with the explorer's counts.
+fn assert_walkers_agree_under_faults<P>(
+    p: &P,
+    g: &Graph,
+    config: &ExploreConfig,
+    spec: &str,
+    target: Model,
+    label: &str,
+) where
     P: Protocol + Sync,
     P::Node: Send + Sync,
     P::Output: Clone + Debug + Send,
 {
+    use wb_bench::certify::{certify_spec, Provenance};
     use wb_runtime::certificate::{certify, CertificateScenario};
     use wb_runtime::exhaustive::{explore_parallel_with, explore_with};
     let scenario = CertificateScenario {
@@ -580,13 +590,22 @@ where
             "{label}: {walk} outcome multiset differs from certify on {g:?}"
         );
     }
+    let run = certify_spec(spec, g, Some(target), Provenance::default(), config)
+        .unwrap_or_else(|e| panic!("{label}: registry certification failed on {g:?}: {e}"));
+    let summary = wb_verify::verify_line(&run.certificate.to_json_line())
+        .unwrap_or_else(|e| panic!("{label}: wb-verify rejects the certificate on {g:?}: {e}"));
+    assert_eq!(
+        (summary.states, summary.terminals as u64),
+        (sequential.distinct_states, sequential.terminals),
+        "{label}: wb-verify and the explorer disagree on {g:?}"
+    );
 }
 
 #[test]
 fn explorer_matches_certifying_dfs_under_crash_budgets_n4() {
     // Crash budgets above 1 let one expansion spend the budget across
-    // several levels; the folded expander's crash children must reach
-    // exactly what the certifying walk reaches, on every model.
+    // several levels; the folded expander's crash children must be exactly
+    // the crash edges wb-verify re-derives, on every model.
     use wb_runtime::FaultPlan;
     for f in [1, 2] {
         let config = ExploreConfig::default().with_faults(Some(FaultPlan::crash_stop(f)));
@@ -595,12 +614,12 @@ fn explorer_matches_certifying_dfs_under_crash_budgets_n4() {
                 for target in Model::ALL {
                     let p = Promote::new(BuildDegenerate::new(2), target);
                     let label = format!("build:2@{target} crash:{f}");
-                    assert_walkers_agree_under_faults(&p, &g, &config, &label);
+                    assert_walkers_agree_under_faults(&p, &g, &config, "build:2", target, &label);
                 }
                 for target in targets(Model::SimSync) {
                     let p = Promote::new(MisGreedy::new(1), target);
                     let label = format!("mis:1@{target} crash:{f}");
-                    assert_walkers_agree_under_faults(&p, &g, &config, &label);
+                    assert_walkers_agree_under_faults(&p, &g, &config, "mis:1", target, &label);
                 }
             }
         }
